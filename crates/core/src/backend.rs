@@ -1,4 +1,4 @@
-//! The backend daemon (Section IV).
+//! The backend (Section IV).
 //!
 //! "The backend is a daemon, launched before any workload execution...
 //! it is the backend that really conducts the CUDA API calls and kernel
@@ -18,6 +18,21 @@
 //! homogeneous groups), asks the [`DecisionEngine`] which alternative
 //! wins on predicted energy, and executes it.
 //!
+//! **Core and drivers.** [`Backend`] is a transport-free state machine:
+//! [`Backend::call`] answers one [`Call`] and [`Backend::check_flush`]
+//! applies the batching conditions. The channel round trip the paper's
+//! frontends pay is a charge on the simulated clock, not a real hop.
+//! [`Driver`] delivers calls to the core in one of two ways:
+//!
+//! * **in-process** (the telemetry sink carries a [`VirtualClock`]):
+//!   each frontend call locks the core, calls it and runs
+//!   `check_flush`. Batch boundaries then depend only on call order,
+//!   so same-seed runs replay bit-identically;
+//! * **daemon thread** (wall-clock runs): frontends on several OS
+//!   threads send calls over a channel; the daemon drains each burst
+//!   before one `check_flush`, so concurrent submissions land in one
+//!   pending set, and reaps a frontend whose reply channel died.
+//!
 //! **Clocks.** The backend keeps a host clock for channel, staging and
 //! coordination costs. Each device has its own clock; synchronous API
 //! operations (memcpys) drag the host clock along, while kernel launches
@@ -26,7 +41,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use ewc_cpu::CpuTask;
@@ -43,92 +58,99 @@ use crate::config::RuntimeConfig;
 use crate::decision::{Choice, DecisionEngine};
 use crate::leader::LeaderCoordinator;
 use crate::optimize::ConstantCache;
-use crate::protocol::{CoreError, ExecConfig, KernelRequest, Request};
+use crate::protocol::{Answer, Call, CoreError, ExecConfig, KernelRequest, Reply};
 use crate::resilience::RuntimeFaultInjector;
 use crate::stats::{BackendStats, ConsolidationRecord, KernelOutcome};
 use crate::template::TemplateRegistry;
 use ewc_models::PolicyKnob;
 
-/// Channel + thread handle for a running backend.
-pub struct BackendHandles {
-    /// Request channel into the daemon.
-    pub sender: Sender<Request>,
-    /// The daemon thread.
-    pub join: JoinHandle<()>,
+/// A call on its way to the daemon thread, with the channel its answer
+/// goes back on (`None` for fire-and-forget calls).
+type Envelope = (Call, Option<Sender<Reply>>);
+
+/// How frontends and the runtime reach the backend core.
+#[derive(Clone)]
+pub(crate) enum Driver {
+    /// The caller steps the core itself, under a lock. `None` once the
+    /// core has shut down.
+    InProcess(Arc<Mutex<Option<Backend>>>),
+    /// The core runs on the daemon thread behind this channel.
+    Daemon(Sender<Envelope>),
 }
 
-/// Spawn the backend daemon thread over a pool of devices.
-///
-/// `faults` is the optional runtime-boundary fault injector (channel
-/// drops/retransmits); pass `None` for a healthy channel.
-pub fn spawn(
-    cfg: RuntimeConfig,
-    gpus: Vec<GpuDevice>,
-    registry: HashMap<String, Arc<dyn Workload>>,
-    templates: TemplateRegistry,
-    decision: DecisionEngine,
-    sink: TelemetrySink,
-    faults: Option<Arc<dyn RuntimeFaultInjector>>,
-) -> BackendHandles {
-    assert!(!gpus.is_empty(), "backend needs at least one GPU");
-    let (tx, rx) = std::sync::mpsc::channel();
-    let coordinator = LeaderCoordinator::new(&cfg);
-    let constants = gpus
-        .iter()
-        .map(|_| ConstantCache::new(cfg.constant_reuse))
-        .collect();
-    // Without an explicit fleet the governor runs the bit-compatible
-    // homogeneous round-robin configuration over the device pool.
-    let fleet_mode = cfg.fleet.is_some();
-    let fleet_cfg = cfg
-        .fleet
-        .clone()
-        .unwrap_or_else(|| FleetConfig::homogeneous(gpus.len()));
-    assert_eq!(
-        fleet_cfg.devices.len(),
-        gpus.len(),
-        "fleet spec must describe every device in the pool"
-    );
-    let fleet = FleetGovernor::new(&fleet_cfg, &cfg.resilience);
-    // Virtual span mode: the backend adopts the sink's executor clock
-    // as its host clock, so spans land on the exact timeline the caller
-    // is driving.
-    let clock = sink.virtual_clock().cloned().unwrap_or_default();
-    let admission = cfg.admission.clone().map(AdmissionState::new);
-    let backend = Backend {
-        cfg,
-        gpus,
-        registry,
-        templates,
-        decision,
-        coordinator,
-        constants,
-        sink,
-        faults,
-        fleet,
-        fleet_mode,
-        stats: BackendStats::default(),
-        pending: Vec::new(),
-        ctx_state: HashMap::new(),
-        ctx_allocs: HashMap::new(),
-        ctx_constants: HashMap::new(),
-        remap: HashMap::new(),
-        failures: HashMap::new(),
-        dead: HashSet::new(),
-        admission,
-        next_seq: 0,
-        deferred_replies: Vec::new(),
-        clock,
-        extract_scratch: Vec::new(),
-        flush_scratch: Vec::new(),
-        saturated_scratch: Vec::new(),
-        fleet_throttles_seen: 0,
-    };
-    let join = std::thread::Builder::new()
-        .name("ewc-backend".into())
-        .spawn(move || backend.run(rx))
-        .expect("spawn backend thread");
-    BackendHandles { sender: tx, join }
+impl Driver {
+    /// Start the core on the driver its telemetry sink asks for: the
+    /// in-process driver when the sink carries a virtual clock, the
+    /// daemon thread (whose handle is returned) otherwise.
+    pub(crate) fn start(core: Backend) -> (Driver, Option<JoinHandle<()>>) {
+        if core.sink.virtual_clock().is_some() {
+            return (Driver::InProcess(Arc::new(Mutex::new(Some(core)))), None);
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let join = std::thread::Builder::new()
+            .name("ewc-backend".into())
+            .spawn(move || serve(core, rx))
+            .expect("spawn backend thread");
+        (Driver::Daemon(tx), Some(join))
+    }
+
+    /// Make one call and wait for its answer.
+    pub(crate) fn call(&self, call: Call) -> Reply {
+        match self {
+            Driver::InProcess(core) => {
+                let mut slot = core.lock().map_err(|_| CoreError::Disconnected)?;
+                let shutdown = matches!(call, Call::Shutdown);
+                let live = slot.as_mut().ok_or(CoreError::Disconnected)?;
+                let reply = live.call(call);
+                if shutdown {
+                    *slot = None;
+                } else {
+                    live.check_flush();
+                }
+                reply
+            }
+            Driver::Daemon(tx) => {
+                let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+                tx.send((call, Some(reply_tx)))
+                    .map_err(|_| CoreError::Disconnected)?;
+                reply_rx.recv().map_err(|_| CoreError::Disconnected)?
+            }
+        }
+    }
+
+    /// Make a call nobody waits on: the daemon gets no reply channel.
+    pub(crate) fn post(&self, call: Call) -> Result<(), CoreError> {
+        match self {
+            Driver::InProcess(_) => self.call(call).map(drop),
+            Driver::Daemon(tx) => tx.send((call, None)).map_err(|_| CoreError::Disconnected),
+        }
+    }
+}
+
+/// The daemon loop: answer calls until shutdown or until every sender
+/// is gone. A burst already queued is drained before the flush
+/// conditions are checked, so requests from concurrent frontends land
+/// in one pending set (the enterprise arrival pattern the paper
+/// assumes).
+fn serve(mut core: Backend, rx: Receiver<Envelope>) {
+    while let Ok(first) = rx.recv() {
+        for (call, reply_tx) in std::iter::once(first).chain(rx.try_iter()) {
+            let shutdown = matches!(call, Call::Shutdown);
+            let ctx = call.ctx();
+            let reply = core.call(call);
+            // A dead reply channel means the frontend died mid-call:
+            // reap it instead of silently dropping the result.
+            if let Some(tx) = reply_tx {
+                if let (Err(_), Some(ctx)) = (tx.send(reply), ctx) {
+                    core.reap(ctx, "reply channel dead", true);
+                }
+            }
+            if shutdown {
+                return;
+            }
+        }
+        core.check_flush();
+    }
 }
 
 #[derive(Default)]
@@ -146,7 +168,8 @@ enum MemberFate {
     Failed(GpuError),
 }
 
-struct Backend {
+/// The transport-free backend core; see the module docs.
+pub(crate) struct Backend {
     cfg: RuntimeConfig,
     gpus: Vec<GpuDevice>,
     registry: HashMap<String, Arc<dyn Workload>>,
@@ -190,13 +213,6 @@ struct Backend {
     /// pre-admission backend.
     admission: Option<AdmissionState>,
     next_seq: u64,
-    /// Replies parked by [`Backend::send_reply`] in virtual span mode
-    /// until the post-message flush has settled the shared clock — the
-    /// frontend must never resume while a clock advance is still
-    /// pending, or two same-seed runs would race. Each closure sends
-    /// one reply and reports whether the channel was still alive.
-    #[allow(clippy::type_complexity)]
-    deferred_replies: Vec<(u64, Box<dyn FnOnce() -> bool + Send>)>,
     /// Host-side clock: channel, staging and coordination costs. A
     /// shared [`VirtualClock`] handle, so the telemetry sink (virtual
     /// span mode) and the circuit breaker observe the same timeline the
@@ -216,49 +232,70 @@ struct Backend {
 }
 
 impl Backend {
-    fn run(mut self, rx: Receiver<Request>) {
-        // In virtual span mode batch boundaries must not depend on OS
-        // thread timing, so the flush conditions are re-checked after
-        // *every* message: batching then depends only on the (caller-
-        // driven, deterministic) channel order. The default mode keeps
-        // the burst boundary of a live daemon.
-        let per_message = self.sink.virtual_clock().is_some();
-        'daemon: loop {
-            let Ok(req) = rx.recv() else { break };
-            if self.step(req, per_message) {
-                break;
-            }
-            // Drain whatever is already queued before considering
-            // consolidation, so a burst of requests from concurrent
-            // frontends lands in one pending set (the enterprise arrival
-            // pattern the paper assumes).
-            while let Ok(more) = rx.try_recv() {
-                if self.step(more, per_message) {
-                    break 'daemon;
-                }
-            }
-            if !per_message {
-                self.check_flush();
-            }
+    /// Build the core over a pool of devices. `faults` is the optional
+    /// runtime-boundary fault injector (channel drops/retransmits); pass
+    /// `None` for a healthy channel.
+    pub(crate) fn new(
+        cfg: RuntimeConfig,
+        gpus: Vec<GpuDevice>,
+        registry: HashMap<String, Arc<dyn Workload>>,
+        templates: TemplateRegistry,
+        decision: DecisionEngine,
+        sink: TelemetrySink,
+        faults: Option<Arc<dyn RuntimeFaultInjector>>,
+    ) -> Self {
+        assert!(!gpus.is_empty(), "backend needs at least one GPU");
+        let coordinator = LeaderCoordinator::new(&cfg);
+        let constants = gpus
+            .iter()
+            .map(|_| ConstantCache::new(cfg.constant_reuse))
+            .collect();
+        // Without an explicit fleet the governor runs the bit-compatible
+        // homogeneous round-robin configuration over the device pool.
+        let fleet_mode = cfg.fleet.is_some();
+        let fleet_cfg = cfg
+            .fleet
+            .clone()
+            .unwrap_or_else(|| FleetConfig::homogeneous(gpus.len()));
+        assert_eq!(
+            fleet_cfg.devices.len(),
+            gpus.len(),
+            "fleet spec must describe every device in the pool"
+        );
+        let fleet = FleetGovernor::new(&fleet_cfg, &cfg.resilience);
+        // Virtual span mode: the backend adopts the sink's executor clock
+        // as its host clock, so spans land on the exact timeline the caller
+        // is driving.
+        let clock = sink.virtual_clock().cloned().unwrap_or_default();
+        let admission = cfg.admission.clone().map(AdmissionState::new);
+        Backend {
+            cfg,
+            gpus,
+            registry,
+            templates,
+            decision,
+            coordinator,
+            constants,
+            sink,
+            faults,
+            fleet,
+            fleet_mode,
+            stats: BackendStats::default(),
+            pending: Vec::new(),
+            ctx_state: HashMap::new(),
+            ctx_allocs: HashMap::new(),
+            ctx_constants: HashMap::new(),
+            remap: HashMap::new(),
+            failures: HashMap::new(),
+            dead: HashSet::new(),
+            admission,
+            next_seq: 0,
+            clock,
+            extract_scratch: Vec::new(),
+            flush_scratch: Vec::new(),
+            saturated_scratch: Vec::new(),
+            fleet_throttles_seen: 0,
         }
-    }
-
-    /// Handle one message, then (in virtual span mode) run the flush it
-    /// may have triggered and only *then* release any parked replies:
-    /// the flush advances the shared clock, and a frontend resumed
-    /// before the advance settles would race it (reading the clock for
-    /// its next arrival or backoff), making same-seed runs diverge.
-    fn step(&mut self, req: Request, per_message: bool) -> bool {
-        let shutdown = self.handle(req);
-        if per_message && !shutdown {
-            self.check_flush();
-        }
-        for (ctx, send) in std::mem::take(&mut self.deferred_replies) {
-            if !send() {
-                self.reap(ctx, "reply channel dead", true);
-            }
-        }
-        shutdown
     }
 
     /// The batching conditions: flush on reaching the group-size
@@ -271,7 +308,7 @@ impl Backend {
     /// the flush could clear is batching delay, not overload — what the
     /// watchdog must react to is the pressure that *survives* a flush
     /// (device backlog, or a queue the flush could not move).
-    fn check_flush(&mut self) {
+    pub(crate) fn check_flush(&mut self) {
         if self.admission.is_some() {
             self.shed_stale();
         }
@@ -523,29 +560,33 @@ impl Backend {
         self.clock.advance_to(self.gpus[d].now_s());
     }
 
-    /// Handle one request; returns true on shutdown.
-    fn handle(&mut self, req: Request) -> bool {
-        if let Request::AdvanceClock { to_s } = req {
-            // Harness construct, not an API call: no channel cost.
-            self.clock.advance_to(to_s);
-            return false;
+    /// Answer one call.
+    pub(crate) fn call(&mut self, call: Call) -> Reply {
+        match call {
+            Call::AdvanceClock { to_s } => {
+                // Harness construct, not an API call: no channel cost.
+                self.clock.advance_to(to_s);
+                return Ok(Answer::Done);
+            }
+            Call::AdvanceClockBy { by_s } => {
+                // A client waiting out a backoff: no channel cost.
+                self.clock.advance_by(by_s.max(0.0));
+                return Ok(Answer::Done);
+            }
+            Call::Disconnect { ctx } => {
+                // A dying process pays nothing and can observe nothing:
+                // no channel cost, no RPC span. Its pending work is
+                // drained and its device memory freed.
+                self.reap(ctx, "disconnect", false);
+                return Ok(Answer::Done);
+            }
+            _ => {}
         }
-        if let Request::AdvanceClockBy { by_s } = req {
-            // A client waiting out a backoff: no channel cost.
-            self.clock.advance_by(by_s.max(0.0));
-            return false;
-        }
-        if let Request::Disconnect { ctx } = req {
-            // A dying process pays nothing and can observe nothing: no
-            // channel cost, no RPC span. Its pending work is drained.
-            self.reap(ctx, "disconnect", false);
-            return false;
-        }
-        let kind = req.kind();
-        let ctx = req.ctx();
+        let kind = call.kind();
+        let ctx = call.ctx();
         let rpc_start_s = self.clock.now_s();
         self.charge_channel();
-        let shutdown = self.dispatch(req);
+        let reply = self.dispatch(call);
         // One span per intercepted API call: the frontend blocked on this
         // interval (channel round trip + backend-side handling).
         if self.sink.is_enabled() {
@@ -557,92 +598,76 @@ impl Backend {
             }
             span.emit();
         }
-        shutdown
+        reply
     }
 
-    fn dispatch(&mut self, req: Request) -> bool {
-        match req {
-            Request::Malloc { ctx, len, reply } => {
+    fn dispatch(&mut self, call: Call) -> Reply {
+        match call {
+            Call::Malloc { ctx, len } => {
                 let d = self.device_for(ctx);
-                let r = self.gpus[d].malloc(len).map_err(CoreError::from);
-                if let Ok(ptr) = &r {
-                    self.ctx_allocs.entry(ctx).or_default().push((*ptr, len));
-                }
-                self.send_reply(ctx, reply, r);
+                let ptr = self.gpus[d].malloc(len)?;
+                self.ctx_allocs.entry(ctx).or_default().push((ptr, len));
+                Ok(Answer::Ptr(ptr))
             }
-            Request::Free { ctx, ptr, reply } => {
+            Call::Free { ctx, ptr } => {
                 let d = self.device_for(ctx);
                 let actual = self.resolve(ctx, ptr);
-                let r = self.gpus[d].free(actual).map_err(CoreError::from);
-                if r.is_ok() {
-                    if let Some(allocs) = self.ctx_allocs.get_mut(&ctx) {
-                        allocs.retain(|(p, _)| *p != ptr);
-                    }
-                    if let Some(m) = self.remap.get_mut(&ctx) {
-                        m.remove(&ptr);
-                    }
+                self.gpus[d].free(actual)?;
+                if let Some(allocs) = self.ctx_allocs.get_mut(&ctx) {
+                    allocs.retain(|(p, _)| *p != ptr);
                 }
-                self.send_reply(ctx, reply, r);
+                if let Some(m) = self.remap.get_mut(&ctx) {
+                    m.remove(&ptr);
+                }
+                Ok(Answer::Done)
             }
-            Request::MemcpyH2D {
+            Call::MemcpyH2D {
                 ctx,
                 dst,
                 offset,
                 data,
-                reply,
             } => {
                 self.charge_staging(data.len() as u64);
                 let d = self.device_for(ctx);
                 let dst = self.resolve(ctx, dst);
                 self.catch_up(d);
-                let r = self.gpus[d]
-                    .memcpy_h2d(dst, offset, &data)
-                    .map(|_| ())
-                    .map_err(CoreError::from);
+                let r = self.gpus[d].memcpy_h2d(dst, offset, &data);
                 self.host_joins(d);
-                self.send_reply(ctx, reply, r);
+                r?;
+                Ok(Answer::Done)
             }
-            Request::MemcpyD2H {
+            Call::MemcpyD2H {
                 ctx,
                 src,
                 offset,
                 len,
-                reply,
             } => {
                 let d = self.device_for(ctx);
                 let src = self.resolve(ctx, src);
                 self.catch_up(d);
-                let r = self.gpus[d]
-                    .memcpy_d2h(src, offset, len)
-                    .map(|(bytes, _)| bytes)
-                    .map_err(CoreError::from);
+                let r = self.gpus[d].memcpy_d2h(src, offset, len);
                 self.host_joins(d);
                 self.charge_staging(len);
-                self.send_reply(ctx, reply, r);
+                Ok(Answer::Bytes(r?.0))
             }
-            Request::ConfigureCall { ctx, config } => {
+            Call::ConfigureCall { ctx, config } => {
                 self.ctx_state.entry(ctx).or_default().config = Some(config);
+                Ok(Answer::Done)
             }
-            Request::SetupArgument { ctx, arg } => {
+            Call::SetupArgument { ctx, arg } => {
                 self.ctx_state.entry(ctx).or_default().args.push(arg);
+                Ok(Answer::Done)
             }
-            Request::Launch {
+            Call::Launch {
                 ctx,
                 name,
                 batched_args,
                 priority,
                 attempt,
-                reply,
-            } => {
-                let r = self.enqueue_launch(ctx, name, batched_args, priority, attempt);
-                self.send_reply(ctx, reply, r);
-            }
-            Request::RegisterConstant {
-                ctx,
-                key,
-                data,
-                reply,
-            } => {
+            } => self
+                .enqueue_launch(ctx, name, batched_args, priority, attempt)
+                .map(Answer::Ticket),
+            Call::RegisterConstant { ctx, key, data } => {
                 self.charge_staging(data.len() as u64);
                 let d = self.device_for(ctx);
                 self.catch_up(d);
@@ -678,14 +703,12 @@ impl Backend {
                         entry.push((key, up.ptr, data));
                     }
                 }
-                self.send_reply(ctx, reply, r.map(|u| u.ptr).map_err(CoreError::from));
+                Ok(Answer::Ptr(r?.ptr))
             }
-            Request::AdvanceClock { .. }
-            | Request::AdvanceClockBy { .. }
-            | Request::Disconnect { .. } => {
-                unreachable!("handled above")
+            Call::AdvanceClock { .. } | Call::AdvanceClockBy { .. } | Call::Disconnect { .. } => {
+                unreachable!("answered in Backend::call")
             }
-            Request::Sync { ctx, reply } => {
+            Call::Sync { ctx } => {
                 self.flush(true);
                 // Sync waits for every device to drain.
                 for d in 0..self.gpus.len() {
@@ -694,13 +717,12 @@ impl Backend {
                 // Deliver one queued permanent failure per sync: the
                 // launch already returned a ticket, so this is where the
                 // offending frontend learns its kernel died.
-                let r = match self.failures.get_mut(&ctx).and_then(VecDeque::pop_front) {
+                match self.failures.get_mut(&ctx).and_then(VecDeque::pop_front) {
                     Some((_seq, e)) => Err(e),
-                    None => Ok(()),
-                };
-                self.send_reply(ctx, reply, r);
+                    None => Ok(Answer::Done),
+                }
             }
-            Request::Shutdown { reply } => {
+            Call::Shutdown => {
                 self.flush(true);
                 for d in 0..self.gpus.len() {
                     self.host_joins(d);
@@ -709,15 +731,13 @@ impl Backend {
                     self.gpus.iter().map(|g| g.activity().to_vec()).collect();
                 self.stats.placements = self.fleet.placements().to_vec();
                 self.stats.cap_redirects = self.fleet.cap_redirects();
-                let _ = reply.send((
+                Ok(Answer::Shutdown(Box::new((
                     std::mem::take(&mut self.stats),
                     activities,
                     self.clock.now_s(),
-                ));
-                return true;
+                ))))
             }
         }
-        false
     }
 
     fn charge_channel(&mut self) {
@@ -734,28 +754,11 @@ impl Backend {
         }
     }
 
-    /// Reply to a frontend; a dead reply channel means the frontend died
-    /// mid-request, so reap it instead of silently dropping the result.
-    /// In virtual span mode the send is parked until [`Backend::step`]
-    /// has run the post-message flush — see `deferred_replies`.
-    fn send_reply<T: Send + 'static>(
-        &mut self,
-        ctx: u64,
-        reply: Sender<Result<T, CoreError>>,
-        r: Result<T, CoreError>,
-    ) {
-        if self.sink.virtual_clock().is_some() {
-            self.deferred_replies
-                .push((ctx, Box::new(move || reply.send(r).is_ok())));
-        } else if reply.send(r).is_err() {
-            self.reap(ctx, "reply channel dead", true);
-        }
-    }
-
     /// Drain a departed frontend: drop its queued launches (group peers
     /// must not wait on a corpse), its call state and its undelivered
-    /// failures. `abnormal` marks deaths detected mid-request (dead reply
-    /// channel) rather than announced disconnects.
+    /// failures, and free its device memory. `abnormal` marks deaths
+    /// detected mid-request (dead reply channel) rather than announced
+    /// disconnects.
     fn reap(&mut self, ctx: u64, why: &str, abnormal: bool) {
         if !self.dead.insert(ctx) {
             return;
@@ -768,7 +771,15 @@ impl Backend {
         if let Some(q) = self.failures.remove(&ctx) {
             self.stats.undelivered_failures += q.len() as u64;
         }
-        self.ctx_allocs.remove(&ctx);
+        // Free the context's buffers (resolved through any migration
+        // remap) on its bound device: a departed frontend's memory must
+        // not outlive it, or frontend churn fills the card.
+        if let (Some(allocs), Some(d)) = (self.ctx_allocs.remove(&ctx), self.fleet.binding(ctx)) {
+            for (ptr, _) in allocs {
+                let actual = self.resolve(ctx, ptr);
+                let _ = self.gpus[d].free(actual);
+            }
+        }
         self.ctx_constants.remove(&ctx);
         self.remap.remove(&ctx);
         // Release the device binding so the governor's live-context
@@ -1695,5 +1706,38 @@ fn verdict_of(choice: Choice) -> Verdict {
         Choice::Consolidate => Verdict::Consolidate,
         Choice::SerialGpu => Verdict::SerialGpu,
         Choice::Cpu => Verdict::Cpu,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Runtime;
+
+    #[test]
+    fn reaped_frontends_free_their_device_memory() {
+        // A virtual-clock sink puts the core in-process, where the test
+        // can read the device's allocator.
+        let rt = Runtime::builder(RuntimeConfig::default())
+            .telemetry(TelemetrySink::disabled_virtual(VirtualClock::new()))
+            .build();
+        let used = || {
+            let Driver::InProcess(core) = &rt.driver else {
+                unreachable!("virtual-clock runtimes step the core in-process")
+            };
+            let core = core.lock().unwrap();
+            core.as_ref().unwrap().gpus[0].memory().used_bytes()
+        };
+        let before = used();
+        // 8 × 1 GiB through a 4 GiB C1060: only fits if every departed
+        // frontend's allocation was freed.
+        for round in 0..8 {
+            let fe = rt.connect();
+            fe.malloc(1 << 30)
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            fe.sync().unwrap();
+            drop(fe);
+        }
+        assert_eq!(used(), before);
     }
 }

@@ -11,8 +11,7 @@
 //!   (the paper assumes CPU performance and energy profiles are known;
 //!   ours come from the per-workload [`ewc_cpu::CpuTask`] profiles).
 
-use ewc_cpu::{CpuEngine, CpuOutcome, CpuPowerModel, CpuTask};
-use ewc_exec::TaskPool;
+use ewc_cpu::{CpuEngine, CpuPowerModel, CpuTask};
 use ewc_models::{
     choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, Prediction, StateChoice,
 };
@@ -105,7 +104,6 @@ pub struct DecisionEngine {
     cpu: CpuEngine,
     cpu_power: CpuPowerModel,
     margin: f64,
-    parallelism: usize,
     power_states: Option<PowerStatesConfig>,
 }
 
@@ -121,9 +119,6 @@ impl DecisionEngine {
             cpu,
             cpu_power,
             margin: 0.02,
-            // `0` asks the shared [`TaskPool`] for its default width
-            // (one worker per available core).
-            parallelism: 0,
             power_states: None,
         }
     }
@@ -150,15 +145,6 @@ impl DecisionEngine {
         self
     }
 
-    /// Override how many threads [`Self::assess`] may fan out across
-    /// (`1` = fully serial). Defaults to the available cores. The three
-    /// alternative predictions are pure functions merged in a fixed
-    /// order, so the verdict is identical at any setting.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
     /// The GPU-side energy model.
     pub fn energy_model(&self) -> &EnergyModel {
         &self.energy
@@ -167,32 +153,12 @@ impl DecisionEngine {
     /// Assess a candidate group: `plan` describes the GPU side (template
     /// layout order), `cpu_tasks` the same instances as CPU jobs.
     pub fn assess(&self, plan: &ConsolidationPlan, cpu_tasks: &[CpuTask]) -> Assessment {
-        // The three alternatives are independent pure predictions, so
-        // they fan out on the shared [`TaskPool`] and merge positionally
-        // — the same bits come back at any parallelism setting, and the
-        // pool's permit budget keeps a parallel caller (a soak matrix
-        // assessing many groups at once) from oversubscribing cores.
-        enum Part {
-            Gpu(Prediction),
-            Cpu(CpuOutcome, f64),
-        }
-        let mut parts = TaskPool::global().run(3, self.parallelism, |i| match i {
-            0 => Part::Gpu(self.energy.predict(plan)),
-            1 => Part::Gpu(self.energy.predict_serial(plan)),
-            _ => {
-                let out = self.cpu.run(cpu_tasks);
-                let energy = self.cpu_power.energy_j(&out);
-                Part::Cpu(out, energy)
-            }
-        });
-        let (
-            Some(Part::Cpu(cpu_out, cpu_energy)),
-            Some(Part::Gpu(serial)),
-            Some(Part::Gpu(consolidated)),
-        ) = (parts.pop(), parts.pop(), parts.pop())
-        else {
-            unreachable!("pool returns the three parts positionally");
-        };
+        // The three alternatives are independent pure predictions of a
+        // few microseconds each: run them serially, in a fixed order.
+        let consolidated = self.energy.predict(plan);
+        let serial = self.energy.predict_serial(plan);
+        let cpu_out = self.cpu.run(cpu_tasks);
+        let cpu_energy = self.cpu_power.energy_j(&cpu_out);
 
         // Power-state pass, gated on the config so the flat path stays
         // bit-identical: evaluate both GPU alternatives across the
@@ -330,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assessment_is_bitwise_serial() {
+    fn assessment_is_bitwise_repeatable() {
         let plan = ConsolidationPlan::new()
             .with(compute("a", 6.0, 4))
             .with(compute("b", 3.0, 2));
@@ -338,19 +304,19 @@ mod tests {
             CpuTask::new("a", 12.0, 2, 4 << 20),
             CpuTask::new("b", 7.0, 1, 2 << 20),
         ];
-        let serial = engine().with_parallelism(1).assess(&plan, &tasks);
-        let fanned = engine().with_parallelism(4).assess(&plan, &tasks);
-        assert_eq!(serial.choice, fanned.choice);
+        let a = engine().assess(&plan, &tasks);
+        let b = engine().assess(&plan, &tasks);
+        assert_eq!(a.choice, b.choice);
         assert_eq!(
-            serial.consolidated.system_energy_j.to_bits(),
-            fanned.consolidated.system_energy_j.to_bits()
+            a.consolidated.system_energy_j.to_bits(),
+            b.consolidated.system_energy_j.to_bits()
         );
         assert_eq!(
-            serial.serial.system_energy_j.to_bits(),
-            fanned.serial.system_energy_j.to_bits()
+            a.serial.system_energy_j.to_bits(),
+            b.serial.system_energy_j.to_bits()
         );
-        assert_eq!(serial.cpu_time_s.to_bits(), fanned.cpu_time_s.to_bits());
-        assert_eq!(serial.cpu_energy_j.to_bits(), fanned.cpu_energy_j.to_bits());
+        assert_eq!(a.cpu_time_s.to_bits(), b.cpu_time_s.to_bits());
+        assert_eq!(a.cpu_energy_j.to_bits(), b.cpu_energy_j.to_bits());
     }
 
     #[test]

@@ -2,27 +2,29 @@
 //!
 //! "The frontend is a shared library, loaded into applications to
 //! intercept specific CUDA Runtime API calls" — here, a handle each user
-//! "process" (thread) holds. Every call forwards to the backend daemon
-//! over the channel and blocks on the reply, matching the synchronous
-//! CUDA runtime API. With **argument batching** on, `setup_argument`
-//! values accumulate locally and ride along with `launch`, cutting the
-//! per-call round trips that dominate small-workload consolidation
-//! overhead.
+//! "process" (thread) holds. Every call goes to the backend core through
+//! the runtime's [`Driver`] — stepped in-process on virtual-clock runs,
+//! or sent to the daemon thread otherwise — and blocks on the answer,
+//! matching the synchronous CUDA runtime API; either way the core
+//! charges the channel round trip on the simulated clock. With
+//! **argument batching** on, `setup_argument` values accumulate locally
+//! and ride along with `launch`, cutting the per-call round trips that
+//! dominate small-workload consolidation overhead.
 
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, SimRng};
 
 use crate::admission::Priority;
-use crate::protocol::{CoreError, ExecConfig, Request};
+use crate::backend::Driver;
+use crate::protocol::{Answer, Call, CoreError, ExecConfig};
 
 /// A per-process frontend handle. Cloning is intentionally not provided:
 /// one frontend = one process context, as in the paper.
 pub struct Frontend {
     ctx: u64,
-    tx: Sender<Request>,
+    driver: Driver,
     batching: bool,
     held_args: Vec<KernelArg>,
     priority: Priority,
@@ -34,10 +36,10 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    pub(crate) fn new(ctx: u64, tx: Sender<Request>, batching: bool) -> Self {
+    pub(crate) fn new(ctx: u64, driver: Driver, batching: bool) -> Self {
         Frontend {
             ctx,
-            tx,
+            driver,
             batching,
             held_args: Vec::new(),
             priority: Priority::Normal,
@@ -63,59 +65,58 @@ impl Frontend {
         self.priority
     }
 
-    fn rpc<T>(
-        &self,
-        build: impl FnOnce(Sender<Result<T, CoreError>>) -> Request,
-    ) -> Result<T, CoreError>
-    where
-        T: Send,
-    {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        self.tx
-            .send(build(reply_tx))
-            .map_err(|_| CoreError::Disconnected)?;
-        reply_rx.recv().map_err(|_| CoreError::Disconnected)?
+    /// A call answered with a device pointer.
+    fn ptr_call(&self, call: Call) -> Result<DevicePtr, CoreError> {
+        let Answer::Ptr(ptr) = self.driver.call(call)? else {
+            unreachable!("the core answers this call with a pointer")
+        };
+        Ok(ptr)
+    }
+
+    /// A launch, answered with its ticket.
+    fn ticket_call(&self, call: Call) -> Result<u64, CoreError> {
+        let Answer::Ticket(seq) = self.driver.call(call)? else {
+            unreachable!("the core answers a launch with a ticket")
+        };
+        Ok(seq)
     }
 
     /// `cudaMalloc`.
     pub fn malloc(&self, len: u64) -> Result<DevicePtr, CoreError> {
-        self.rpc(|reply| Request::Malloc {
-            ctx: self.ctx,
-            len,
-            reply,
-        })
+        self.ptr_call(Call::Malloc { ctx: self.ctx, len })
     }
 
     /// `cudaFree`.
     pub fn free(&self, ptr: DevicePtr) -> Result<(), CoreError> {
-        self.rpc(|reply| Request::Free {
-            ctx: self.ctx,
-            ptr,
-            reply,
-        })
+        self.driver
+            .call(Call::Free { ctx: self.ctx, ptr })
+            .map(drop)
     }
 
     /// `cudaMemcpyHostToDevice`.
     pub fn memcpy_h2d(&self, dst: DevicePtr, offset: u64, data: &[u8]) -> Result<(), CoreError> {
-        let data = data.to_vec();
-        self.rpc(move |reply| Request::MemcpyH2D {
-            ctx: self.ctx,
-            dst,
-            offset,
-            data,
-            reply,
-        })
+        self.driver
+            .call(Call::MemcpyH2D {
+                ctx: self.ctx,
+                dst,
+                offset,
+                data: data.to_vec(),
+            })
+            .map(drop)
     }
 
     /// `cudaMemcpyDeviceToHost`.
     pub fn memcpy_d2h(&self, src: DevicePtr, offset: u64, len: u64) -> Result<Vec<u8>, CoreError> {
-        self.rpc(|reply| Request::MemcpyD2H {
+        let Answer::Bytes(bytes) = self.driver.call(Call::MemcpyD2H {
             ctx: self.ctx,
             src,
             offset,
             len,
-            reply,
-        })
+        })?
+        else {
+            unreachable!("the core answers a read-back with bytes")
+        };
+        Ok(bytes)
     }
 
     /// `cudaConfigureCall`: capture the execution configuration.
@@ -124,15 +125,13 @@ impl Frontend {
         grid_blocks: u32,
         threads_per_block: u32,
     ) -> Result<(), CoreError> {
-        self.tx
-            .send(Request::ConfigureCall {
-                ctx: self.ctx,
-                config: ExecConfig {
-                    grid_blocks,
-                    threads_per_block,
-                },
-            })
-            .map_err(|_| CoreError::Disconnected)
+        self.driver.post(Call::ConfigureCall {
+            ctx: self.ctx,
+            config: ExecConfig {
+                grid_blocks,
+                threads_per_block,
+            },
+        })
     }
 
     /// `cudaSetupArgument`: with batching on, held locally until
@@ -142,9 +141,7 @@ impl Frontend {
             self.held_args.push(arg);
             Ok(())
         } else {
-            self.tx
-                .send(Request::SetupArgument { ctx: self.ctx, arg })
-                .map_err(|_| CoreError::Disconnected)
+            self.driver.post(Call::SetupArgument { ctx: self.ctx, arg })
         }
     }
 
@@ -164,16 +161,12 @@ impl Frontend {
         } else {
             None
         };
-        let name: Arc<str> = Arc::from(kernel);
-        let ctx = self.ctx;
-        let priority = self.priority;
-        let r = self.rpc(move |reply| Request::Launch {
-            ctx,
-            name,
+        let r = self.ticket_call(Call::Launch {
+            ctx: self.ctx,
+            name: Arc::from(kernel),
             batched_args: batched,
-            priority,
+            priority: self.priority,
             attempt,
-            reply,
         });
         if self.batching && !matches!(r, Err(CoreError::Busy { .. })) {
             self.held_args.clear();
@@ -191,15 +184,12 @@ impl Frontend {
         priority: Priority,
         attempt: u32,
     ) -> Result<u64, CoreError> {
-        let name: Arc<str> = Arc::from(kernel);
-        let ctx = self.ctx;
-        self.rpc(move |reply| Request::Launch {
-            ctx,
-            name,
+        self.ticket_call(Call::Launch {
+            ctx: self.ctx,
+            name: Arc::from(kernel),
             batched_args: Some(args),
             priority,
             attempt,
-            reply,
         })
     }
 
@@ -225,39 +215,29 @@ impl Frontend {
     /// Advance the simulated clock by `delay_s` from now — the
     /// closed-loop client's way of waiting out a backoff interval.
     pub fn advance_clock_by(&self, delay_s: f64) -> Result<(), CoreError> {
-        self.tx
-            .send(Request::AdvanceClockBy {
-                by_s: delay_s.max(0.0),
-            })
-            .map_err(|_| CoreError::Disconnected)
+        self.driver.post(Call::AdvanceClockBy {
+            by_s: delay_s.max(0.0),
+        })
     }
 
     /// Register load-once constant data (the Section IV backend API).
     pub fn register_constant(&self, key: &str, data: &[u8]) -> Result<DevicePtr, CoreError> {
-        let key = key.to_string();
-        let data = data.to_vec();
-        self.rpc(move |reply| Request::RegisterConstant {
+        self.ptr_call(Call::RegisterConstant {
             ctx: self.ctx,
-            key,
-            data,
-            reply,
+            key: key.to_string(),
+            data: data.to_vec(),
         })
     }
 
     /// Advance the simulated device clock to (at least) `to_s` — the
     /// trace-driven harness's way of modelling request arrival times.
     pub fn advance_clock(&self, to_s: f64) -> Result<(), CoreError> {
-        self.tx
-            .send(Request::AdvanceClock { to_s })
-            .map_err(|_| CoreError::Disconnected)
+        self.driver.post(Call::AdvanceClock { to_s })
     }
 
     /// Block until all pending kernels (from every frontend) executed.
     pub fn sync(&self) -> Result<(), CoreError> {
-        self.rpc(|reply| Request::Sync {
-            ctx: self.ctx,
-            reply,
-        })
+        self.driver.call(Call::Sync { ctx: self.ctx }).map(drop)
     }
 }
 
@@ -266,7 +246,7 @@ impl Drop for Frontend {
     /// launches it will never sync on. Best-effort: if the backend is
     /// already gone there is nobody left to care.
     fn drop(&mut self) {
-        let _ = self.tx.send(Request::Disconnect { ctx: self.ctx });
+        let _ = self.driver.post(Call::Disconnect { ctx: self.ctx });
     }
 }
 
@@ -295,4 +275,4 @@ fn core_to_gpu(e: CoreError) -> ewc_gpu::GpuError {
 }
 
 // Further frontend tests live in `runtime.rs` and the crate's
-// integration tests, where a real backend answers the channel.
+// integration tests, where a real backend core answers.

@@ -2,7 +2,7 @@
 //!
 //! The paper's main system (Section IV): a runtime that intercepts
 //! CUDA-style API calls from **multiple user processes**, funnels them to
-//! a backend daemon that owns the GPU, and — when enough kernel requests
+//! a backend that owns the GPU, and — when enough kernel requests
 //! are pending — consolidates them into one large kernel *if the
 //! performance and power models predict an energy win*; otherwise the
 //! kernels run individually on the GPU or on the CPU, whichever their
@@ -12,10 +12,13 @@
 //!
 //! * [`frontend::Frontend`] — the per-process shim. Each API call
 //!   (`malloc`, `memcpy_h2d`, `configure_call`, `setup_argument`,
-//!   `launch`, `memcpy_d2h`, `sync`) becomes a message over a channel to
-//!   the backend, with a per-message cost; `setup_argument` calls can be
-//!   **batched** until `launch` (Section IV's optimisation).
-//! * [`backend`] — the daemon thread (`Backend`). It owns the
+//!   `launch`, `memcpy_d2h`, `sync`) becomes one [`protocol::Call`] to
+//!   the backend, with a per-message cost on the simulated clock;
+//!   `setup_argument` calls can be **batched** until `launch` (Section
+//!   IV's optimisation).
+//! * [`backend`] — the transport-free backend core (`Backend`), stepped
+//!   in-process on virtual-clock runs and on a daemon thread for live
+//!   concurrent frontends. It owns the
 //!   [`ewc_gpu::GpuDevice`], executes every device operation in its own
 //!   context, and stages cross-context memcpys through a **pre-allocated
 //!   buffer** (two copies: process → buffer → device). Kernel launches
@@ -35,7 +38,7 @@
 //!   consolidated / serial-GPU / CPU energy predictions.
 //! * [`optimize`] — constant-data reuse: load-once lookup tables (the
 //!   AES T-tables) shared by all consolidated instances.
-//! * [`runtime::Runtime`] — owns the backend thread and hands out
+//! * [`runtime::Runtime`] — owns the backend core's driver and hands out
 //!   frontends; [`runtime::RuntimeReport`] carries the device activity
 //!   profile for energy integration.
 //!
@@ -92,7 +95,6 @@ pub mod stats;
 pub mod template;
 
 pub use admission::{AdmissionConfig, AdmissionDecision, DegradationConfig, Priority, ShedCause};
-pub use backend::BackendHandles;
 pub use config::{PowerStatesConfig, RuntimeConfig};
 pub use decision::{Choice, DecisionEngine, StateDecision};
 pub use frontend::Frontend;

@@ -1,18 +1,18 @@
 //! Frontend↔backend wire protocol.
 //!
-//! Each intercepted API call becomes one [`Request`] over the backend's
-//! channel, mirroring the paper's interception of `cudaMalloc`,
-//! `cudaMemcpy`, `cudaConfigureCall`, `cudaSetupArgument` and
-//! `cudaLaunch`. Requests that need an answer carry a one-shot reply
-//! sender; fire-and-forget requests (configure/setup-argument) rely on
-//! channel FIFO ordering, exactly like the real shim relies on API call
-//! order.
+//! Each intercepted API call becomes one [`Call`] to the backend core,
+//! mirroring the paper's interception of `cudaMalloc`, `cudaMemcpy`,
+//! `cudaConfigureCall`, `cudaSetupArgument` and `cudaLaunch`, and the
+//! core answers each with one [`Reply`]. A call carries no transport:
+//! the driver that delivers it (in-process, or the daemon thread's
+//! channel) decides whether anyone waits for the answer. Fire-and-forget
+//! calls (configure/setup-argument) rely on per-frontend call order,
+//! exactly like the real shim relies on API call order.
 
 use std::fmt;
 use std::sync::Arc;
 
-use std::sync::mpsc::Sender;
-
+use ewc_gpu::counters::ActivityInterval;
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, GpuError};
 use ewc_workloads::Workload;
@@ -160,16 +160,14 @@ impl fmt::Debug for KernelRequest {
     }
 }
 
-/// Messages from frontends to the backend.
-pub enum Request {
+/// Calls from frontends (and the runtime) to the backend core.
+pub enum Call {
     /// `cudaMalloc`.
     Malloc {
         /// Context id.
         ctx: u64,
         /// Bytes requested.
         len: u64,
-        /// Reply channel.
-        reply: Sender<Result<DevicePtr, CoreError>>,
     },
     /// `cudaFree`.
     Free {
@@ -177,8 +175,6 @@ pub enum Request {
         ctx: u64,
         /// Pointer to release.
         ptr: DevicePtr,
-        /// Reply channel.
-        reply: Sender<Result<(), CoreError>>,
     },
     /// `cudaMemcpy` host→device: the data crosses process boundaries via
     /// the backend's staging buffer.
@@ -191,8 +187,6 @@ pub enum Request {
         offset: u64,
         /// Payload.
         data: Vec<u8>,
-        /// Reply channel.
-        reply: Sender<Result<(), CoreError>>,
     },
     /// `cudaMemcpy` device→host.
     MemcpyD2H {
@@ -204,8 +198,6 @@ pub enum Request {
         offset: u64,
         /// Bytes to read.
         len: u64,
-        /// Reply channel.
-        reply: Sender<Result<Vec<u8>, CoreError>>,
     },
     /// `cudaConfigureCall` (fire-and-forget; FIFO-ordered).
     ConfigureCall {
@@ -236,8 +228,6 @@ pub enum Request {
         /// How many times this launch has already been answered `Busy`
         /// (the admission controller sheds permanently at the limit).
         attempt: u32,
-        /// Reply channel: the assigned ticket (sequence number).
-        reply: Sender<Result<u64, CoreError>>,
     },
     /// Load-once constant data (the backend API of Section IV's
     /// application-specific optimisation).
@@ -248,8 +238,6 @@ pub enum Request {
         key: String,
         /// Constant bytes.
         data: Vec<u8>,
-        /// Reply channel.
-        reply: Sender<Result<DevicePtr, CoreError>>,
     },
     /// Advance the simulated clock to (at least) `to_s` — used by
     /// trace-driven harnesses to model request arrival times. Not an
@@ -279,57 +267,67 @@ pub enum Request {
     Sync {
         /// Context id.
         ctx: u64,
-        /// Reply channel.
-        reply: Sender<Result<(), CoreError>>,
     },
-    /// Drain, stop the daemon and return statistics plus each device's
-    /// activity profile and the final clock.
-    Shutdown {
-        /// Reply channel.
-        reply: Sender<(
-            BackendStats,
-            Vec<Vec<ewc_gpu::counters::ActivityInterval>>,
-            f64,
-        )>,
-    },
+    /// Drain every device and end the session: answered with
+    /// [`Answer::Shutdown`]. A core that has shut down is gone; later
+    /// calls answer [`CoreError::Disconnected`].
+    Shutdown,
 }
 
-impl Request {
-    /// Context the request belongs to (None for shutdown).
+/// A successful answer to one [`Call`].
+#[derive(Debug)]
+pub enum Answer {
+    /// Nothing to return: `free`, the memcpys to the device, `sync`,
+    /// and every fire-and-forget call.
+    Done,
+    /// A device pointer: `malloc`, `register_constant`.
+    Ptr(DevicePtr),
+    /// The bytes read back by `memcpy_d2h`.
+    Bytes(Vec<u8>),
+    /// The ticket (sequence number) a `launch` was queued under.
+    Ticket(u64),
+    /// The session's statistics, each device's activity profile and
+    /// the final clock.
+    Shutdown(Box<(BackendStats, Vec<Vec<ActivityInterval>>, f64)>),
+}
+
+/// The core's answer to one [`Call`].
+pub type Reply = Result<Answer, CoreError>;
+
+impl Call {
+    /// Context the call belongs to (None for shutdown).
     pub fn ctx(&self) -> Option<u64> {
         match self {
-            Request::Malloc { ctx, .. }
-            | Request::Free { ctx, .. }
-            | Request::MemcpyH2D { ctx, .. }
-            | Request::MemcpyD2H { ctx, .. }
-            | Request::ConfigureCall { ctx, .. }
-            | Request::SetupArgument { ctx, .. }
-            | Request::Launch { ctx, .. }
-            | Request::RegisterConstant { ctx, .. }
-            | Request::Disconnect { ctx }
-            | Request::Sync { ctx, .. } => Some(*ctx),
-            Request::AdvanceClock { .. }
-            | Request::AdvanceClockBy { .. }
-            | Request::Shutdown { .. } => None,
+            Call::Malloc { ctx, .. }
+            | Call::Free { ctx, .. }
+            | Call::MemcpyH2D { ctx, .. }
+            | Call::MemcpyD2H { ctx, .. }
+            | Call::ConfigureCall { ctx, .. }
+            | Call::SetupArgument { ctx, .. }
+            | Call::Launch { ctx, .. }
+            | Call::RegisterConstant { ctx, .. }
+            | Call::Disconnect { ctx }
+            | Call::Sync { ctx, .. } => Some(*ctx),
+            Call::AdvanceClock { .. } | Call::AdvanceClockBy { .. } | Call::Shutdown => None,
         }
     }
 
     /// Short name for tracing.
     pub fn kind(&self) -> &'static str {
         match self {
-            Request::Malloc { .. } => "malloc",
-            Request::Free { .. } => "free",
-            Request::MemcpyH2D { .. } => "memcpy_h2d",
-            Request::MemcpyD2H { .. } => "memcpy_d2h",
-            Request::ConfigureCall { .. } => "configure_call",
-            Request::SetupArgument { .. } => "setup_argument",
-            Request::Launch { .. } => "launch",
-            Request::RegisterConstant { .. } => "register_constant",
-            Request::AdvanceClock { .. } => "advance_clock",
-            Request::AdvanceClockBy { .. } => "advance_clock_by",
-            Request::Disconnect { .. } => "disconnect",
-            Request::Sync { .. } => "sync",
-            Request::Shutdown { .. } => "shutdown",
+            Call::Malloc { .. } => "malloc",
+            Call::Free { .. } => "free",
+            Call::MemcpyH2D { .. } => "memcpy_h2d",
+            Call::MemcpyD2H { .. } => "memcpy_d2h",
+            Call::ConfigureCall { .. } => "configure_call",
+            Call::SetupArgument { .. } => "setup_argument",
+            Call::Launch { .. } => "launch",
+            Call::RegisterConstant { .. } => "register_constant",
+            Call::AdvanceClock { .. } => "advance_clock",
+            Call::AdvanceClockBy { .. } => "advance_clock_by",
+            Call::Disconnect { .. } => "disconnect",
+            Call::Sync { .. } => "sync",
+            Call::Shutdown => "shutdown",
         }
     }
 }
@@ -350,16 +348,9 @@ mod tests {
 
     #[test]
     fn request_introspection() {
-        let (tx, _rx) = std::sync::mpsc::channel();
-        let r = Request::Malloc {
-            ctx: 3,
-            len: 10,
-            reply: tx,
-        };
-        assert_eq!(r.ctx(), Some(3));
-        assert_eq!(r.kind(), "malloc");
-        let (tx, _rx) = std::sync::mpsc::channel();
-        let r = Request::Shutdown { reply: tx };
-        assert_eq!(r.ctx(), None);
+        let c = Call::Malloc { ctx: 3, len: 10 };
+        assert_eq!(c.ctx(), Some(3));
+        assert_eq!(c.kind(), "malloc");
+        assert_eq!(Call::Shutdown.ctx(), None);
     }
 }

@@ -1,9 +1,10 @@
-//! The runtime façade: builds the backend, hands out frontends, and
-//! integrates energy at shutdown.
+//! The runtime façade: builds the backend core, starts its driver,
+//! hands out frontends, and integrates energy at shutdown.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use ewc_cpu::{CpuConfig, CpuEngine, CpuPowerModel};
 use ewc_energy::{GpuSystemPower, PowerCoefficients, ThermalModel, TrainingBenchmark};
@@ -12,11 +13,11 @@ use ewc_models::{EnergyModel, PowerModel};
 use ewc_telemetry::{TelemetrySink, TelemetrySnapshot};
 use ewc_workloads::Workload;
 
-use crate::backend::{self, BackendHandles};
+use crate::backend::{Backend, Driver};
 use crate::config::RuntimeConfig;
 use crate::decision::DecisionEngine;
 use crate::frontend::Frontend;
-use crate::protocol::Request;
+use crate::protocol::{Answer, Call, Reply};
 use crate::resilience::RuntimeFaultInjector;
 use crate::stats::BackendStats;
 use crate::template::{Template, TemplateRegistry};
@@ -113,8 +114,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Build: trains the power model, spawns the backend, returns the
-    /// runtime.
+    /// Build: trains the power model, starts the backend core on its
+    /// driver (in-process when the telemetry sink carries a virtual
+    /// clock, the daemon thread otherwise), returns the runtime.
     pub fn build(self) -> Runtime {
         let gpus: Vec<GpuDevice> = (0..self.cfg.num_devices())
             .map(|d| {
@@ -162,7 +164,7 @@ impl RuntimeBuilder {
         let noise_seed = self.cfg.noise_seed;
         let batching = self.cfg.argument_batching;
         let sink = self.telemetry.clone();
-        let handles = backend::spawn(
+        let (driver, daemon) = Driver::start(Backend::new(
             self.cfg,
             gpus,
             self.workloads,
@@ -170,9 +172,10 @@ impl RuntimeBuilder {
             decision,
             self.telemetry,
             self.runtime_faults,
-        );
+        ));
         Runtime {
-            handles: Some(handles),
+            driver,
+            daemon,
             next_ctx: AtomicU64::new(1),
             batching,
             system,
@@ -197,7 +200,9 @@ pub struct RuntimeReport {
 
 /// A running consolidation runtime.
 pub struct Runtime {
-    handles: Option<BackendHandles>,
+    pub(crate) driver: Driver,
+    /// The daemon thread, on the daemon driver, until shutdown joins it.
+    daemon: Option<JoinHandle<()>>,
     next_ctx: AtomicU64,
     batching: bool,
     system: GpuSystemPower,
@@ -214,13 +219,7 @@ impl Runtime {
     /// Connect a new user process; returns its frontend shim.
     pub fn connect(&self) -> Frontend {
         let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
-        let tx = self
-            .handles
-            .as_ref()
-            .expect("runtime is live")
-            .sender
-            .clone();
-        Frontend::new(ctx, tx, self.batching)
+        Frontend::new(ctx, self.driver.clone(), self.batching)
     }
 
     /// The system power composition used for energy integration.
@@ -233,16 +232,22 @@ impl Runtime {
         &self.sink
     }
 
+    /// Shut the core down and join the daemon thread, if any. A core
+    /// already shut down answers `Disconnected`.
+    fn stop(&mut self) -> Reply {
+        let reply = self.driver.call(Call::Shutdown);
+        if let Some(join) = self.daemon.take() {
+            let _ = join.join();
+        }
+        reply
+    }
+
     /// Drain everything, stop the backend, and report.
     pub fn shutdown(mut self) -> RuntimeReport {
-        let handles = self.handles.take().expect("runtime is live");
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        handles
-            .sender
-            .send(Request::Shutdown { reply: reply_tx })
-            .expect("backend alive at shutdown");
-        let (stats, activities, elapsed_s) = reply_rx.recv().expect("backend replies to shutdown");
-        handles.join.join().expect("backend thread exits cleanly");
+        let Ok(Answer::Shutdown(end)) = self.stop() else {
+            panic!("backend replies to shutdown");
+        };
+        let (stats, activities, elapsed_s) = *end;
         let energy = self
             .system
             .integrate_many(&activities, elapsed_s, self.noise_seed);
@@ -270,17 +275,7 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        if let Some(handles) = self.handles.take() {
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-            if handles
-                .sender
-                .send(Request::Shutdown { reply: reply_tx })
-                .is_ok()
-            {
-                let _ = reply_rx.recv();
-            }
-            let _ = handles.join.join();
-        }
+        let _ = self.stop();
     }
 }
 

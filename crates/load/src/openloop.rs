@@ -419,9 +419,9 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
 
     let clock = VirtualClock::new();
     let mut exec: Executor<Harness, LoadTask> = Executor::with_clock(clock.clone());
-    // Either way the backend adopts the executor's exact clock and the
-    // deterministic per-message batch boundaries of virtual-span mode,
-    // so same-seed runs replay byte-identically; `telemetry` only
+    // Either way the backend adopts the executor's exact clock and is
+    // stepped in-process, so batch boundaries follow call order and
+    // same-seed runs replay byte-identically; `telemetry` only
     // decides whether spans and the audit log are collected.
     let sink = if cfg.telemetry {
         TelemetrySink::enabled_virtual(clock)
@@ -463,12 +463,10 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         });
     }
 
-    // Quiesce the backend before the schedule is laid down: the setup
-    // loop ends with a fire-and-forget `configure_call` per stream, and
-    // a straggler still in the channel would race the `t0` read below
-    // (its channel-hop charge landing before or after the read is an OS
-    // scheduling accident). One blocking sync drains the FIFO — every
-    // prior message is fully handled and the clock settled.
+    // One blocking sync before the schedule is laid down. The in-process
+    // backend has already handled every set-up call, so this is not a
+    // quiesce; it stays as a cost-bearing call, and its channel charge
+    // is part of the `t0` every replay and parity test pins.
     if let Some(stream) = streams.last() {
         stream.fe.sync().expect("setup quiesce sync");
     }

@@ -53,12 +53,13 @@ impl TelemetrySink {
 
     /// A sink in **virtual-time span mode**: collects everything, and
     /// carries the executor clock recording components should drive
-    /// their timelines from. The backend daemon adopts this clock as
-    /// its host clock and switches to per-message batch boundaries
-    /// (instead of OS-timing-dependent burst boundaries), which makes
-    /// two identical runs produce byte-identical Chrome-trace exports.
-    /// The default [`TelemetrySink::enabled`] mode keeps the burst
-    /// behaviour of a live daemon.
+    /// their timelines from. The backend adopts this clock as its host
+    /// clock and is stepped in-process by its callers, so batch
+    /// boundaries follow call order (instead of OS-timing-dependent
+    /// burst boundaries), which makes two identical runs produce
+    /// byte-identical Chrome-trace exports. The default
+    /// [`TelemetrySink::enabled`] mode keeps the burst behaviour of a
+    /// live daemon thread.
     pub fn enabled_virtual(clock: VirtualClock) -> Self {
         Self {
             inner: Some(Arc::new(Mutex::new(Collector::default()))),
@@ -67,8 +68,8 @@ impl TelemetrySink {
     }
 
     /// A sink that records **nothing** but still carries the executor
-    /// clock: the backend daemon adopts the clock and the deterministic
-    /// per-message batch boundaries of virtual-time span mode, without
+    /// clock: the backend adopts the clock and the deterministic
+    /// in-process stepping of virtual-time span mode, without
     /// paying for collection. The open-loop load harness runs its
     /// non-telemetry scenarios in this mode so same-seed storms replay
     /// bit-identically.

@@ -7,7 +7,11 @@ use std::sync::Arc;
 use std::thread;
 
 use ewc_core::{Runtime, RuntimeConfig, Template};
+use ewc_exec::VirtualClock;
 use ewc_gpu::GpuConfig;
+use ewc_load::openloop::ClientCounts;
+use ewc_load::LoadReport;
+use ewc_telemetry::TelemetrySink;
 use ewc_workloads::{AesWorkload, SortWorkload, Workload};
 
 fn runtime(threshold: u32) -> (Arc<Runtime>, Arc<dyn Workload>, Arc<dyn Workload>) {
@@ -93,6 +97,64 @@ fn concurrent_submissions_hit_the_threshold_path() {
         "records: {:?}",
         report.stats.records
     );
+}
+
+#[test]
+fn virtual_clock_frontends_on_four_threads_verify_and_conserve() {
+    // A virtual-clock sink puts the backend core in-process: frontends
+    // on four OS threads then share it through its lock instead of the
+    // daemon's channel.
+    let cfg = GpuConfig::tesla_c1060();
+    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
+    let rt = Arc::new(
+        Runtime::builder(RuntimeConfig {
+            threshold_factor: 4,
+            force_gpu: true,
+            ..RuntimeConfig::default()
+        })
+        .telemetry(TelemetrySink::disabled_virtual(VirtualClock::new()))
+        .workload("encryption", Arc::clone(&aes))
+        .template(Template::homogeneous("encryption"))
+        .build(),
+    );
+    let threads: Vec<_> = (0..4u64)
+        .map(|t| {
+            let (rt, w) = (Arc::clone(&rt), Arc::clone(&aes));
+            thread::spawn(move || {
+                for user in 0..4 {
+                    submit_and_verify(&rt, "encryption", &w, t * 4 + user);
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("user thread");
+    }
+    let rt = Arc::into_inner(rt).expect("all users joined");
+    let report = rt.shutdown();
+    let stats = report.stats;
+    let load = LoadReport {
+        generated: 16,
+        client: ClientCounts {
+            admitted: 16,
+            ..ClientCounts::default()
+        },
+        completed: stats.kernel_outcomes.len() as u64,
+        failed: stats.failed_kernels,
+        shed: stats.shed_requests,
+        drained: stats.drained_requests,
+        max_pending_depth: stats.max_pending_depth,
+        max_degradation_level: stats.max_degradation_level,
+        degradation_steps: stats.degradation_steps,
+        elapsed_s: report.elapsed_s,
+        energy_j: report.energy.energy_j + stats.cpu_energy_j,
+        p99_latency_s: 0.0,
+        mean_latency_s: 0.0,
+        stats,
+        telemetry: None,
+    };
+    assert!(load.conserved(), "{load:?}");
+    assert_eq!(load.completed, 16, "{load:?}");
 }
 
 #[test]

@@ -4,8 +4,11 @@
 
 use std::sync::Arc;
 
-use ewc_core::{CoreError, Runtime, RuntimeConfig, Template};
+use ewc_core::{CoreError, Priority, Runtime, RuntimeConfig, Template};
+use ewc_exec::VirtualClock;
+use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{GpuConfig, GpuError, KernelDesc};
+use ewc_telemetry::TelemetrySink;
 use ewc_workloads::registry::DeviceBuffers;
 use ewc_workloads::{AesWorkload, Workload};
 
@@ -90,6 +93,68 @@ fn double_free_is_an_error_not_a_crash() {
     let p = fe.malloc(64).unwrap();
     fe.free(p).unwrap();
     assert!(fe.free(p).is_err());
+}
+
+#[test]
+fn frontends_outliving_the_runtime_fail_gracefully_on_both_drivers() {
+    // Every call a frontend can make answers `Disconnected` once the
+    // runtime is gone: shut down or dropped, stepped in-process (a
+    // virtual-clock sink) or served by the daemon thread.
+    for virtual_clock in [false, true] {
+        for shut_down in [false, true] {
+            let sink = if virtual_clock {
+                TelemetrySink::disabled_virtual(VirtualClock::new())
+            } else {
+                TelemetrySink::disabled()
+            };
+            // Batching off, so `setup_argument` reaches the backend.
+            let rt = Runtime::builder(RuntimeConfig {
+                argument_batching: false,
+                ..RuntimeConfig::default()
+            })
+            .telemetry(sink)
+            .build();
+            let mut fe = rt.connect();
+            let p = fe.malloc(16).unwrap();
+            if shut_down {
+                rt.shutdown();
+            } else {
+                drop(rt);
+            }
+            let answers = [
+                ("malloc", fe.malloc(16).map(drop)),
+                ("free", fe.free(p)),
+                ("memcpy_h2d", fe.memcpy_h2d(p, 0, &[1])),
+                ("memcpy_d2h", fe.memcpy_d2h(p, 0, 1).map(drop)),
+                ("configure_call", fe.configure_call(1, 32)),
+                ("setup_argument", fe.setup_argument(KernelArg::U32(1))),
+                ("launch", fe.launch("encryption").map(drop)),
+                (
+                    "launch_with",
+                    fe.launch_with("encryption", Vec::new(), Priority::Normal, 0)
+                        .map(drop),
+                ),
+                (
+                    "launch_with_retries",
+                    fe.launch_with_retries("encryption").map(drop),
+                ),
+                (
+                    "register_constant",
+                    fe.register_constant("k", &[1]).map(drop),
+                ),
+                ("advance_clock", fe.advance_clock(1.0)),
+                ("advance_clock_by", fe.advance_clock_by(1.0)),
+                ("sync", fe.sync()),
+            ];
+            for (call, answer) in answers {
+                assert_eq!(
+                    answer,
+                    Err(CoreError::Disconnected),
+                    "{call} (virtual clock {virtual_clock}, shut down {shut_down})"
+                );
+            }
+        }
+    }
 }
 
 #[test]
