@@ -1,23 +1,23 @@
 //! Regenerate every table and figure in one run (the EXPERIMENTS.md
 //! ledger).
 //!
-//! The experiments are independent, so they fan out over the shared
-//! [`TaskPool`] (`all [parallelism]`, default one worker per core, `1`
+//! The experiments are independent, so they fan out through
+//! [`fan_out`] (`all [parallelism]`, default one worker per core, `1`
 //! = fully serial); sections are printed strictly in their original
 //! order once everything has finished, so the fan-out adds no
 //! nondeterminism of its own. (Sections that drive the real threaded
 //! runtime — e.g. the multi-GPU Poisson sweep — vary slightly run to
 //! run at *any* parallelism setting, serial included.)
 use ewc_bench::experiments as ex;
-use ewc_exec::TaskPool;
+use ewc_exec::fan_out;
 
 /// One experiment: its rendered section, produced on some worker.
 type Section = Box<dyn Fn() -> String + Send + Sync>;
 
 /// Render every section across `parallelism` workers, returning them in
-/// input order (the pool's positional merge).
+/// input order (the fan-out's positional merge).
 fn render_all(sections: &[Section], parallelism: usize) -> Vec<String> {
-    TaskPool::global().run(sections.len(), parallelism, |i| sections[i]())
+    fan_out(sections.len(), parallelism, |i| sections[i]())
 }
 
 fn main() {

@@ -16,6 +16,7 @@ use ewc_core::{PowerStatesConfig, Runtime, RuntimeConfig, Template};
 use ewc_energy::{
     GpuSystemPower, PowerCoefficients, PowerStateModel, ThermalModel, TrainingBenchmark,
 };
+use ewc_exec::VirtualClock;
 use ewc_gpu::GpuConfig;
 use ewc_models::{choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, PowerModel};
 use ewc_telemetry::{TelemetrySink, Verdict};
@@ -89,7 +90,10 @@ fn run_one(policy: &str, ps: Option<PowerStatesConfig>) -> Row {
         power_states: ps,
         ..RuntimeConfig::default()
     })
-    .telemetry(TelemetrySink::enabled())
+    // A virtual-clock sink steps the backend core in-process: batch
+    // boundaries then follow call order alone, so every row replays
+    // bit-identically.
+    .telemetry(TelemetrySink::enabled_virtual(VirtualClock::new()))
     .workload("encryption", Arc::clone(&aes) as Arc<dyn Workload>)
     .template(Template::homogeneous("encryption"))
     .build();

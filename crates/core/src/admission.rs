@@ -26,9 +26,11 @@
 //!   widen batching → CPU lifeboat) and back up only after a quiet
 //!   period.
 //!
-//! The whole layer is optional: `RuntimeConfig::admission = None` (the
-//! default) keeps every queue unbounded and every code path
-//! byte-identical with the pre-admission backend.
+//! The backend always runs this layer. `RuntimeConfig::admission =
+//! None` (the default) installs [`AdmissionConfig::unbounded`], under
+//! which every launch is admitted, nothing is shed and the ladder never
+//! leaves level 0 — the paper's unbounded backend, through the same
+//! code.
 
 /// Request priority class, carried on every launch. The default is
 /// [`Priority::Normal`]; admission only consults it under pressure.
@@ -129,9 +131,8 @@ impl Default for DegradationConfig {
 }
 
 /// Admission-control limits. Installing `Some(AdmissionConfig)` in
-/// [`crate::RuntimeConfig::admission`] turns the whole overload layer
-/// on; the field defaults to `None` (unbounded, byte-identical with the
-/// pre-admission backend).
+/// [`crate::RuntimeConfig::admission`] turns the overload layer on; the
+/// field defaults to `None`, which runs [`AdmissionConfig::unbounded`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
     /// Maximum pending launches per device queue.
@@ -169,6 +170,27 @@ impl Default for AdmissionConfig {
             retry_after_s: 2e-3,
             shed_age_s: 5.0,
             degradation: DegradationConfig::default(),
+        }
+    }
+}
+
+impl AdmissionConfig {
+    /// The limits that never bind: both queue bounds `usize::MAX`, no
+    /// token bucket, no age shed, and a ladder that cannot feel
+    /// pressure or leave level 0. What the backend runs when
+    /// [`crate::RuntimeConfig::admission`] is `None`.
+    pub fn unbounded() -> Self {
+        AdmissionConfig {
+            max_per_device: usize::MAX,
+            max_per_ctx: usize::MAX,
+            token_rate_hz: f64::INFINITY,
+            shed_age_s: f64::INFINITY,
+            degradation: DegradationConfig {
+                pressure_age_s: f64::INFINITY,
+                max_level: 0,
+                ..DegradationConfig::default()
+            },
+            ..AdmissionConfig::default()
         }
     }
 }
@@ -412,6 +434,25 @@ mod tests {
             AdmissionDecision::Admit,
             "high priority always passes the priority filter"
         );
+    }
+
+    #[test]
+    fn unbounded_admits_everything_and_never_degrades() {
+        let mut s = AdmissionState::new(AdmissionConfig::unbounded());
+        let deep = usize::MAX - 1;
+        for priority in [Priority::Low, Priority::Normal, Priority::High] {
+            for attempt in [0, 1, 3, u32::MAX] {
+                assert_eq!(
+                    s.admit(0.0, deep, deep, priority, attempt),
+                    AdmissionDecision::Admit,
+                    "{priority:?} attempt {attempt}"
+                );
+            }
+        }
+        for (now_s, age_s) in [(0.0, 0.0), (1.0, 1e3), (1e6, 1e300), (1e300, 1e300)] {
+            assert_eq!(s.observe(now_s, age_s), None, "age {age_s}");
+            assert_eq!(s.level(), 0);
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! homogeneous groups), asks the [`DecisionEngine`] which alternative
 //! wins on predicted energy, and executes it.
 //!
-//! **Core and drivers.** [`Backend`] is a transport-free state machine:
-//! [`Backend::call`] answers one [`Call`] and [`Backend::check_flush`]
+//! **Core and drivers.** `Backend` is a transport-free state machine:
+//! `Backend::call` answers one [`Call`] and `Backend::check_flush`
 //! applies the batching conditions. The channel round trip the paper's
 //! frontends pay is a charge on the simulated clock, not a real hop.
-//! [`Driver`] delivers calls to the core in one of two ways:
+//! `Driver` delivers calls to the core in one of two ways:
 //!
 //! * **in-process** (the telemetry sink carries a [`VirtualClock`]):
 //!   each frontend call locks the core, calls it and runs
@@ -53,7 +53,7 @@ use ewc_gpu::{DevicePtr, GpuDevice, GpuError, Grid};
 use ewc_telemetry::{DecisionRecord, TelemetrySink, Verdict};
 use ewc_workloads::Workload;
 
-use crate::admission::{AdmissionDecision, AdmissionState, Priority, ShedCause};
+use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionState, Priority, ShedCause};
 use crate::config::RuntimeConfig;
 use crate::decision::{Choice, DecisionEngine};
 use crate::leader::LeaderCoordinator;
@@ -208,10 +208,10 @@ pub(crate) struct Backend {
     /// Contexts already reaped (disconnected frontends), so a dead reply
     /// channel and an explicit disconnect do not double-drain.
     dead: HashSet<u64>,
-    /// Admission controller + degradation ladder; `None` (the default)
-    /// keeps queues unbounded and every path byte-identical with the
-    /// pre-admission backend.
-    admission: Option<AdmissionState>,
+    /// Admission controller + degradation ladder. A runtime without an
+    /// admission config runs [`AdmissionConfig::unbounded`], which
+    /// admits everything and never degrades.
+    admission: AdmissionState,
     next_seq: u64,
     /// Host-side clock: channel, staging and coordination costs. A
     /// shared [`VirtualClock`] handle, so the telemetry sink (virtual
@@ -267,7 +267,11 @@ impl Backend {
         // as its host clock, so spans land on the exact timeline the caller
         // is driving.
         let clock = sink.virtual_clock().cloned().unwrap_or_default();
-        let admission = cfg.admission.clone().map(AdmissionState::new);
+        let admission = AdmissionState::new(
+            cfg.admission
+                .clone()
+                .unwrap_or_else(AdmissionConfig::unbounded),
+        );
         Backend {
             cfg,
             gpus,
@@ -301,17 +305,15 @@ impl Backend {
     /// The batching conditions: flush on reaching the group-size
     /// threshold, or when the oldest pending request has waited past
     /// the staleness bound (trace-driven runs may never reach the
-    /// threshold). With admission control on, the CoDel-style age shed
-    /// runs first (blown requests are dropped before more work is
-    /// dispatched) and the queue-age watchdog **after** the flush:
+    /// threshold). The CoDel-style age shed runs first (blown requests
+    /// are dropped before more work is dispatched) and the queue-age
+    /// watchdog **after** the flush:
     /// flushing always empties pending work onto the device, so any age
     /// the flush could clear is batching delay, not overload — what the
     /// watchdog must react to is the pressure that *survives* a flush
     /// (device backlog, or a queue the flush could not move).
     pub(crate) fn check_flush(&mut self) {
-        if self.admission.is_some() {
-            self.shed_stale();
-        }
+        self.shed_stale();
         if self.pending.len() >= self.effective_threshold() {
             self.flush(false);
         } else if !self.pending.is_empty() {
@@ -324,9 +326,7 @@ impl Backend {
                 self.flush(true);
             }
         }
-        if self.admission.is_some() {
-            self.watchdog();
-        }
+        self.watchdog();
     }
 
     /// The consolidation threshold adjusted by the degradation ladder:
@@ -334,9 +334,10 @@ impl Backend {
     /// more work per unit of overhead.
     fn effective_threshold(&self) -> usize {
         let base = self.cfg.threshold();
-        match &self.admission {
-            Some(a) if a.level() >= 3 => base * 2,
-            _ => base,
+        if self.admission.level() >= 3 {
+            base * 2
+        } else {
+            base
         }
     }
 
@@ -371,14 +372,10 @@ impl Backend {
             .map(|g| (g.now_s() - now).max(0.0))
             .fold(0.0, f64::max);
         let age = age.max(backlog);
-        let moved = match &mut self.admission {
-            Some(a) => {
-                let before = a.level();
-                a.observe(now, age).map(|level| (before, level))
-            }
-            None => return,
+        let before = self.admission.level();
+        let Some(level) = self.admission.observe(now, age) else {
+            return;
         };
-        let Some((before, level)) = moved else { return };
         self.stats.degradation_steps += 1;
         self.stats.max_degradation_level = self.stats.max_degradation_level.max(level);
         if self.sink.is_enabled() {
@@ -408,10 +405,7 @@ impl Backend {
     /// only burn energy, so they are dropped with a `Shed` notice
     /// queued for the owner's next `sync` and a `Verdict::Shed` audit.
     fn shed_stale(&mut self) {
-        let shed_age_s = match &self.admission {
-            Some(a) => a.cfg.shed_age_s,
-            None => return,
-        };
+        let shed_age_s = self.admission.cfg.shed_age_s;
         if !shed_age_s.is_finite() || self.pending.is_empty() {
             return;
         }
@@ -483,25 +477,20 @@ impl Backend {
         if let Some(d) = self.fleet.binding(ctx) {
             return d;
         }
-        // Overload coordination with the governor: when admission
-        // bounds the queues, a device sitting at its bound is
-        // "overloaded but healthy" — steer new contexts elsewhere so it
-        // sheds load before its breaker ever trips.
-        let rec = match &self.admission {
-            Some(adm) if self.gpus.len() > 1 => {
-                let cap = adm.cfg.max_per_device;
-                // Swap the scratch flags out so the borrow checker lets
-                // us fill them from `device_depth` while the fleet call
-                // below borrows `self.fleet` and `self.clock`.
-                let mut saturated = std::mem::take(&mut self.saturated_scratch);
-                saturated.clear();
-                saturated.extend((0..self.gpus.len()).map(|d| self.device_depth(d) >= cap));
-                let rec = self.fleet.place_avoiding(ctx, &self.clock, &saturated);
-                self.saturated_scratch = saturated;
-                rec
-            }
-            _ => self.fleet.place(ctx, &self.clock),
-        };
+        // Overload coordination with the governor: a device sitting at
+        // its admission bound is "overloaded but healthy" — steer new
+        // contexts elsewhere so it sheds load before its breaker ever
+        // trips. Under unbounded admission no device is saturated, and
+        // the governor picks exactly what its plain `place` would.
+        let cap = self.admission.cfg.max_per_device;
+        // Swap the scratch flags out so the borrow checker lets us fill
+        // them from `device_depth` while the fleet call below borrows
+        // `self.fleet` and `self.clock`.
+        let mut saturated = std::mem::take(&mut self.saturated_scratch);
+        saturated.clear();
+        saturated.extend((0..self.gpus.len()).map(|d| self.device_depth(d) >= cap));
+        let rec = self.fleet.place_avoiding(ctx, &self.clock, &saturated);
+        self.saturated_scratch = saturated;
         let d = rec.device as usize;
         self.sync_fleet_throttles();
         if self.fleet_mode && self.sink.is_enabled() {
@@ -887,39 +876,33 @@ impl Backend {
         // `Busy` retry resends them). The terminal shed-vs-retry call is
         // made here, in exactly one place, so the conservation invariant
         // is plain stats arithmetic.
-        if self.admission.is_some() {
-            let now = self.clock.now_s();
-            let device_depth = self.device_depth(d);
-            let ctx_depth = self.pending.iter().filter(|r| r.ctx == ctx).count();
-            let (decision, retry_after_s) = match &mut self.admission {
-                Some(adm) => (
-                    adm.admit(now, device_depth, ctx_depth, priority, attempt),
-                    adm.retry_after_s(),
-                ),
-                None => unreachable!("guarded above"),
-            };
-            match decision {
-                AdmissionDecision::Admit => {}
-                AdmissionDecision::Busy { cause } => {
-                    self.stats.busy_rejections += 1;
-                    if self.sink.is_enabled() {
-                        self.sink.counter_add("busy_rejections", 1.0);
-                    }
-                    // Restore the configuration so the retry does not
-                    // need to re-send configure_call.
-                    if let Some(st) = self.ctx_state.get_mut(&ctx) {
-                        st.config = Some(config);
-                    }
-                    return Err(CoreError::Busy {
-                        retry_after_us: (retry_after_s * 1e6).ceil().max(1.0) as u64,
-                        cause,
-                    });
+        let now = self.clock.now_s();
+        let device_depth = self.device_depth(d);
+        let ctx_depth = self.pending.iter().filter(|r| r.ctx == ctx).count();
+        let decision = self
+            .admission
+            .admit(now, device_depth, ctx_depth, priority, attempt);
+        match decision {
+            AdmissionDecision::Admit => {}
+            AdmissionDecision::Busy { cause } => {
+                self.stats.busy_rejections += 1;
+                if self.sink.is_enabled() {
+                    self.sink.counter_add("busy_rejections", 1.0);
                 }
-                AdmissionDecision::Shed { cause } => {
-                    self.stats.shed_requests += 1;
-                    self.audit_shed(&name, ctx, None, cause);
-                    return Err(CoreError::Shed { seq: None, cause });
+                // Restore the configuration so the retry does not
+                // need to re-send configure_call.
+                if let Some(st) = self.ctx_state.get_mut(&ctx) {
+                    st.config = Some(config);
                 }
+                return Err(CoreError::Busy {
+                    retry_after_us: (self.admission.retry_after_s() * 1e6).ceil().max(1.0) as u64,
+                    cause,
+                });
+            }
+            AdmissionDecision::Shed { cause } => {
+                self.stats.shed_requests += 1;
+                self.audit_shed(&name, ctx, None, cause);
+                return Err(CoreError::Shed { seq: None, cause });
             }
         }
         let state = self.ctx_state.entry(ctx).or_default();
@@ -958,9 +941,10 @@ impl Backend {
             // only the oldest `threshold` requests per device are
             // template-matched, bounding matcher cost under a deep
             // backlog (the rest wait their turn).
-            let window = match &self.admission {
-                Some(a) if a.level() >= 2 => self.cfg.threshold().max(1),
-                _ => usize::MAX,
+            let window = if self.admission.level() >= 2 {
+                self.cfg.threshold().max(1)
+            } else {
+                usize::MAX
             };
             let mut grouped = false;
             for d in 0..self.gpus.len() {
@@ -1079,7 +1063,7 @@ impl Backend {
         // drain — force_gpu does not outrank a ladder at its last rung.
         let mut spilled = false;
         if assessment.choice != Choice::Cpu
-            && matches!(&self.admission, Some(a) if a.level() >= 4)
+            && self.admission.level() >= 4
             && group.iter().all(|r| r.priority < Priority::High)
         {
             spilled = true;

@@ -53,7 +53,8 @@ pub struct RuntimeConfig {
     /// with it). This reproduction drives one simulated device.
     pub num_gpus: u32,
     /// Pending-kernel threshold factor: consolidation is considered when
-    /// pending ≥ `threshold_factor × num_gpus` (Section VII sets 10).
+    /// pending ≥ `threshold_factor ×` [`Self::num_devices`] (Section VII sets
+    /// 10).
     pub threshold_factor: u32,
     /// Cost of one frontend↔backend message round trip, seconds.
     pub channel_latency_s: f64,
@@ -97,9 +98,10 @@ pub struct RuntimeConfig {
     /// policy under the optional fleet power cap.
     pub fleet: Option<ewc_fleet::FleetConfig>,
     /// Optional admission control + graceful degradation under
-    /// open-loop overload. `None` (the default) keeps every queue
-    /// unbounded — bit-compatible with the pre-admission backend.
-    /// `Some` bounds the per-device and per-context queues, answers
+    /// open-loop overload. `None` (the default) runs
+    /// [`AdmissionConfig::unbounded`] through the same admission path:
+    /// every queue unbounded, nothing shed, the ladder pinned at level
+    /// 0. `Some` bounds the per-device and per-context queues, answers
     /// `Busy` backpressure, sheds aged requests CoDel-style, and runs
     /// the degradation ladder.
     pub admission: Option<AdmissionConfig>,
@@ -122,12 +124,10 @@ impl RuntimeConfig {
         }
     }
 
-    /// The threshold at which the backend considers consolidation.
+    /// The threshold at which the backend considers consolidation:
+    /// `threshold_factor` per device the backend actually drives.
     pub fn threshold(&self) -> usize {
-        match &self.fleet {
-            Some(_) => self.threshold_factor as usize * self.num_devices(),
-            None => (self.threshold_factor * self.num_gpus) as usize,
-        }
+        self.threshold_factor as usize * self.num_devices()
     }
 
     /// All optimisations off — the naive runtime for ablations.
@@ -172,6 +172,17 @@ mod tests {
     fn default_threshold_matches_paper() {
         let c = RuntimeConfig::default();
         assert_eq!(c.threshold(), 10, "10 × 1 GPU");
+    }
+
+    #[test]
+    fn zero_gpus_still_batches_for_the_one_device_built() {
+        let zero = RuntimeConfig {
+            num_gpus: 0,
+            ..RuntimeConfig::default()
+        };
+        assert_eq!(zero.num_devices(), 1);
+        assert_eq!(zero.threshold(), 10);
+        assert_eq!(zero.threshold(), RuntimeConfig::default().threshold());
     }
 
     #[test]

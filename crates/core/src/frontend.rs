@@ -3,7 +3,7 @@
 //! "The frontend is a shared library, loaded into applications to
 //! intercept specific CUDA Runtime API calls" — here, a handle each user
 //! "process" (thread) holds. Every call goes to the backend core through
-//! the runtime's [`Driver`] — stepped in-process on virtual-clock runs,
+//! the runtime's `Driver` — stepped in-process on virtual-clock runs,
 //! or sent to the daemon thread otherwise — and blocks on the answer,
 //! matching the synchronous CUDA runtime API; either way the core
 //! charges the channel round trip on the simulated clock. With

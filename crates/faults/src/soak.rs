@@ -15,7 +15,7 @@
 use ewc_core::{
     AdmissionConfig, CoreError, Frontend, ResiliencePolicy, Runtime, RuntimeConfig, Template,
 };
-use ewc_exec::TaskPool;
+use ewc_exec::fan_out;
 use ewc_gpu::{DevicePtr, GpuConfig, GpuError};
 use ewc_telemetry::{DecisionRecord, TelemetrySink};
 use ewc_workloads::{AesWorkload, Workload};
@@ -47,8 +47,8 @@ pub struct SoakConfig {
     /// Restrict fault injection to these device indices; `None` means
     /// every device sees the fault plan.
     pub fault_targets: Option<Vec<usize>>,
-    /// Admission-control limits; `None` (the default) keeps the
-    /// pre-admission unbounded backend. The overload preset installs a
+    /// Admission-control limits; `None` (the default) runs unbounded
+    /// admission. The overload preset installs a
     /// tight token bucket and queue bounds so shedding happens under
     /// fault pressure too.
     pub admission: Option<AdmissionConfig>,
@@ -259,13 +259,11 @@ pub fn matrix(seeds: &[u64]) -> Vec<SoakConfig> {
 
 /// Run a batch of soak configurations across `parallelism` worker
 /// threads (`1` = fully serial, `0` = one per available core). Each
-/// soak builds its own runtime, so runs are independent; the shared
-/// [`TaskPool`] merges reports positionally, so they come back in
-/// `cfgs` order no matter which worker ran which config — and its
-/// permit budget keeps this fan-out composed with the decision
-/// engine's own `assess` fan-out from oversubscribing cores.
+/// soak builds its own runtime, so runs are independent;
+/// [`fan_out`] merges reports positionally, so they come back in
+/// `cfgs` order no matter which worker ran which config.
 pub fn run_matrix(cfgs: &[SoakConfig], parallelism: usize) -> Vec<SoakReport> {
-    TaskPool::global().run(cfgs.len(), parallelism, |i| run(&cfgs[i]))
+    fan_out(cfgs.len(), parallelism, |i| run(&cfgs[i]))
 }
 
 /// Run the soak: returns a fully-accounted report. Panics never — every

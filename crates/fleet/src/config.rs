@@ -34,7 +34,7 @@ pub struct DeviceSpec {
     /// below 1.0; a wider card above it.
     pub power_scale: f64,
     /// The card's power-state ladder. The default single-state table
-    /// (P0 at [`CARD_IDLE_W`]) makes every accounting path bit-compatible
+    /// (P0 at `CARD_IDLE_W`) makes every accounting path bit-compatible
     /// with the pre-DVFS fleet; a multi-level table lets the power cap
     /// throttle this device instead of only redirecting placement.
     pub states: PowerStateTable,
@@ -79,7 +79,7 @@ impl DeviceSpec {
     }
 
     /// Live contexts at which the placement proxy treats this card as
-    /// saturated: [`SATURATION_CTXS`] scaled by the SM count relative to
+    /// saturated: `SATURATION_CTXS` scaled by the SM count relative to
     /// the baseline C1060 (minimum one).
     pub fn capacity(&self) -> u32 {
         let base_sms = GpuConfig::tesla_c1060().num_sms;
@@ -101,7 +101,7 @@ impl DeviceSpec {
     /// static floor plus a per-SM dynamic term scaled by the state's
     /// `f·V²`. At the top of the default single-state table this is
     /// bit-identical to the pre-DVFS proxy (`CARD_IDLE_W` floor,
-    /// [`SM_ACTIVE_W`] per SM). An unknown level falls back to the top
+    /// `SM_ACTIVE_W` per SM). An unknown level falls back to the top
     /// state.
     pub fn est_power_in_state_w(&self, ctxs: u32, level: usize) -> f64 {
         let state = self
@@ -222,7 +222,7 @@ impl FleetConfig {
         self
     }
 
-    /// Give every device the DVFS ladder (anchored at [`CARD_IDLE_W`])
+    /// Give every device the DVFS ladder (anchored at `CARD_IDLE_W`)
     /// so the power cap can throttle operating points before it falls
     /// back to redirecting placement.
     pub fn with_dvfs(mut self) -> Self {

@@ -52,8 +52,8 @@ pub struct LoadConfig {
     pub arrivals_per_stream: usize,
     /// Aggregate arrival process (split evenly across streams).
     pub process: ArrivalProcess,
-    /// Admission control installed in the backend; `None` runs the
-    /// pre-admission unbounded backend (the ablation baseline).
+    /// Admission control installed in the backend; `None` runs
+    /// unbounded admission (the ablation baseline).
     pub admission: Option<AdmissionConfig>,
     /// Consolidation threshold factor (pending ≥ factor × GPUs flushes).
     pub threshold_factor: u32,
