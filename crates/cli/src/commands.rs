@@ -13,45 +13,6 @@ use ewc_workloads::{
     SortWorkload, Workload,
 };
 
-/// Every runnable experiment id with a one-line description.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "single-instance GPU speedup over CPU (Table 1)"),
-    (
-        "fig1",
-        "motivation sweep: N encryption instances (Figure 1)",
-    ),
-    (
-        "scenarios",
-        "the good and bad consolidation scenarios (Tables 2-3)",
-    ),
-    ("fig3", "type-1 performance-model validation (Figure 3)"),
-    ("fig4", "type-2 performance-model validation (Figure 4)"),
-    ("fig5", "power-model validation, 14 variants (Figure 5)"),
-    ("fig7", "encryption sweep, four setups (Figure 7)"),
-    ("fig8", "sorting sweep, four setups (Figure 8)"),
-    ("tables56", "Search+BlackScholes mixes (Tables 5-6)"),
-    ("tables78", "Encryption+MonteCarlo mixes (Tables 7-8)"),
-    ("ablations", "mechanism on/off studies"),
-    (
-        "fermi",
-        "Fermi concurrent kernels vs consolidation (extension)",
-    ),
-    ("multigpu", "multi-GPU scaling (extension)"),
-    ("trace", "Poisson-trace threshold sweep (extension)"),
-    (
-        "overload",
-        "open-loop overload: goodput vs offered load (extension)",
-    ),
-    (
-        "future-hw",
-        "consolidation on Fermi-class silicon (extension)",
-    ),
-    (
-        "policy",
-        "race-to-idle vs pace vs cap power policies (extension)",
-    ),
-];
-
 /// Usage text.
 pub fn usage() -> String {
     let mut s = String::from(
@@ -60,6 +21,7 @@ pub fn usage() -> String {
          commands:\n\
          \x20 experiments            list reproducible tables and figures\n\
          \x20 run <id>               regenerate one experiment (see `ewc experiments`)\n\
+         \x20 run all                regenerate every experiment in one run\n\
          \x20 predict <w> <n>        predict consolidating n instances of workload w\n\
          \x20                        (w: enc | sort | search | bs | mc | matmul)\n\
          \x20 devices                show the simulated GPU presets\n\
@@ -98,9 +60,9 @@ pub fn usage() -> String {
     );
     s.push_str("\nexperiment ids: ");
     s.push_str(
-        &EXPERIMENTS
+        &ex::EXPERIMENTS
             .iter()
-            .map(|(id, _)| *id)
+            .map(|e| e.id)
             .collect::<Vec<_>>()
             .join(", "),
     );
@@ -111,10 +73,12 @@ pub fn usage() -> String {
 pub fn dispatch(args: &[String]) -> Result<String, String> {
     match args.first().map(String::as_str) {
         Some("experiments") => Ok(list_experiments()),
-        Some("run") => {
-            let id = args.get(1).ok_or("run: missing experiment id")?;
-            run_experiment(id)
-        }
+        Some("run") => match args.get(1).ok_or("run: missing experiment id")?.as_str() {
+            "all" => Ok(ex::run_all()),
+            id => ex::find(id)
+                .map(|e| (e.run)())
+                .ok_or_else(|| format!("unknown experiment '{id}'")),
+        },
         Some("predict") => {
             let w = args.get(2).is_none();
             if w {
@@ -158,36 +122,10 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
 
 fn list_experiments() -> String {
     let mut out = String::from("reproducible experiments:\n");
-    for (id, desc) in EXPERIMENTS {
-        out.push_str(&format!("  {id:<10} {desc}\n"));
+    for e in ex::EXPERIMENTS {
+        out.push_str(&format!("  {:<10} {}\n", e.id, e.description));
     }
     out
-}
-
-fn run_experiment(id: &str) -> Result<String, String> {
-    Ok(match id {
-        "table1" => ex::table1::render(&ex::table1::run()),
-        "fig1" => ex::fig1::render(&ex::fig1::run(9)),
-        "scenarios" => {
-            let (t2, t3) = ex::scenarios::run();
-            ex::scenarios::render(&t2, &t3)
-        }
-        "fig3" => ex::fig3::render(&ex::fig3::run()),
-        "fig4" => ex::fig4::render(&ex::fig4::run()),
-        "fig5" => ex::fig5::render(&ex::fig5::run()),
-        "fig7" => ex::fig7::render(&ex::fig7::run(12)),
-        "fig8" => ex::fig8::render(&ex::fig8::run(9)),
-        "tables56" => ex::tables56::render(&ex::tables56::run()),
-        "tables78" => ex::tables78::render(&ex::tables78::run()),
-        "ablations" => ex::ablations::render(&ex::ablations::run()),
-        "fermi" => ex::fermi::render(&ex::fermi::run()),
-        "multigpu" => ex::multigpu::render(&ex::multigpu::run(40)),
-        "trace" => ex::trace::render(&ex::trace::run()),
-        "overload" => ex::overload::render(&ex::overload::run()),
-        "future-hw" => ex::future_hw::render(&ex::future_hw::run(9)),
-        "policy" => ex::policy::render(&ex::policy::run()),
-        other => return Err(format!("unknown experiment '{other}'")),
-    })
 }
 
 /// Look up a workload by short name.
@@ -868,10 +806,12 @@ mod tests {
     #[test]
     fn help_and_listing() {
         assert!(dispatch(&args(&["help"])).unwrap().contains("usage"));
-        assert!(dispatch(&[]).unwrap().contains("usage"));
+        let usage = dispatch(&[]).unwrap();
+        assert!(usage.contains("usage") && usage.contains("run all"));
         let listing = dispatch(&args(&["experiments"])).unwrap();
-        for (id, _) in EXPERIMENTS {
-            assert!(listing.contains(id), "missing {id}");
+        for e in ex::EXPERIMENTS {
+            assert!(listing.contains(e.id), "missing {}", e.id);
+            assert!(listing.contains(e.description), "missing {}", e.id);
         }
     }
 

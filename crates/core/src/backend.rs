@@ -68,6 +68,14 @@ use ewc_models::PolicyKnob;
 /// goes back on (`None` for fire-and-forget calls).
 type Envelope = (Call, Option<Sender<Reply>>);
 
+/// Bandwidth of host-to-host copies into/out of the staging buffer,
+/// bytes/second.
+const STAGING_BANDWIDTH: f64 = 1.2e9;
+
+/// Size of the backend's pre-allocated staging buffer, bytes. Transfers
+/// larger than this are chunked (extra round trips).
+const STAGING_BUFFER_BYTES: u64 = 64 << 20;
+
 /// How frontends and the runtime reach the backend core.
 #[derive(Clone)]
 pub(crate) enum Driver {
@@ -523,6 +531,31 @@ impl Backend {
             .unwrap_or(ptr)
     }
 
+    /// Whether `ptr` names one of context `ctx`'s own allocations or,
+    /// with `constants`, a constant it registered. Frontends may name
+    /// only their own memory: another context's buffer is as invalid as
+    /// a made-up address.
+    fn holds(&self, ctx: u64, ptr: DevicePtr, constants: bool) -> bool {
+        self.ctx_allocs
+            .get(&ctx)
+            .is_some_and(|a| a.iter().any(|(p, _)| *p == ptr))
+            || (constants
+                && self
+                    .ctx_constants
+                    .get(&ctx)
+                    .is_some_and(|c| c.iter().any(|(_, p, _)| *p == ptr)))
+    }
+
+    /// The actual device pointer behind one of the context's own
+    /// buffers; `InvalidPointer` for any pointer it did not allocate.
+    fn own_buffer(&self, ctx: u64, ptr: DevicePtr) -> Result<DevicePtr, CoreError> {
+        if self.holds(ctx, ptr, false) {
+            Ok(self.resolve(ctx, ptr))
+        } else {
+            Err(GpuError::InvalidPointer(ptr.0).into())
+        }
+    }
+
     /// Kernel arguments with every device pointer resolved through the
     /// context's migration remap.
     fn resolved_args(&self, ctx: u64, args: &[KernelArg]) -> Vec<KernelArg> {
@@ -600,7 +633,7 @@ impl Backend {
             }
             Call::Free { ctx, ptr } => {
                 let d = self.device_for(ctx);
-                let actual = self.resolve(ctx, ptr);
+                let actual = self.own_buffer(ctx, ptr)?;
                 self.gpus[d].free(actual)?;
                 if let Some(allocs) = self.ctx_allocs.get_mut(&ctx) {
                     allocs.retain(|(p, _)| *p != ptr);
@@ -618,7 +651,7 @@ impl Backend {
             } => {
                 self.charge_staging(data.len() as u64);
                 let d = self.device_for(ctx);
-                let dst = self.resolve(ctx, dst);
+                let dst = self.own_buffer(ctx, dst)?;
                 self.catch_up(d);
                 let r = self.gpus[d].memcpy_h2d(dst, offset, &data);
                 self.host_joins(d);
@@ -632,7 +665,7 @@ impl Backend {
                 len,
             } => {
                 let d = self.device_for(ctx);
-                let src = self.resolve(ctx, src);
+                let src = self.own_buffer(ctx, src)?;
                 self.catch_up(d);
                 let r = self.gpus[d].memcpy_d2h(src, offset, len);
                 self.host_joins(d);
@@ -819,12 +852,12 @@ impl Backend {
     }
 
     /// Host-to-host copy into/out of the pre-allocated staging buffer:
-    /// bytes over staging bandwidth, plus one extra channel round trip
-    /// per buffer-sized chunk beyond the first.
+    /// bytes over `STAGING_BANDWIDTH`, plus one extra channel round
+    /// trip per `STAGING_BUFFER_BYTES` chunk beyond the first.
     fn charge_staging(&mut self, bytes: u64) {
         let start_s = self.clock.now_s();
-        let copy_s = bytes as f64 / self.cfg.staging_bandwidth;
-        let chunks = bytes.div_ceil(self.cfg.staging_buffer_bytes.max(1)).max(1);
+        let copy_s = bytes as f64 / STAGING_BANDWIDTH;
+        let chunks = bytes.div_ceil(STAGING_BUFFER_BYTES).max(1);
         let extra = (chunks - 1) as f64 * self.cfg.channel_latency_s;
         self.stats.staged_bytes += bytes;
         self.stats.staging_s += copy_s + extra;
@@ -871,6 +904,19 @@ impl Backend {
         // reject it here — synchronously, to the offending frontend —
         // instead of poisoning a consolidation group later.
         ewc_gpu::Occupancy::of(&desc, self.gpus[d].config()).map_err(CoreError::from)?;
+        // Likewise every pointer argument must name the caller's own
+        // memory, or the kernel would read or write another context's.
+        let args = match &batched_args {
+            Some(a) => a.as_slice(),
+            None => self.ctx_state.get(&ctx).map_or(&[][..], |s| &s.args),
+        };
+        if let Some(p) = args
+            .iter()
+            .filter_map(KernelArg::as_ptr)
+            .find(|p| !self.holds(ctx, *p, true))
+        {
+            return Err(GpuError::InvalidPointer(p.0).into());
+        }
         // Admission, after validation (a malformed launch keeps its
         // original error) and before the arguments are consumed (a
         // `Busy` retry resends them). The terminal shed-vs-retry call is
@@ -1106,13 +1152,7 @@ impl Backend {
         let fates = match assessment.choice {
             Choice::Consolidate => self.run_ladder(device, &group, true),
             Choice::SerialGpu => self.run_ladder(device, &group, false),
-            Choice::Cpu => {
-                self.run_cpu(device, &group, &cpu_tasks);
-                group
-                    .iter()
-                    .map(|_| MemberFate::Done(Choice::Cpu))
-                    .collect()
-            }
+            Choice::Cpu => self.run_cpu(device, &group, &cpu_tasks),
         };
 
         let completed_at_s = self.gpus[device].now_s();
@@ -1368,8 +1408,8 @@ impl Backend {
                             req.name, req.seq
                         ),
                     );
-                    self.run_cpu(device, member, &[req.workload.cpu_task()]);
-                    MemberFate::Done(Choice::Cpu)
+                    self.run_cpu(device, member, &[req.workload.cpu_task()])
+                        .remove(0)
                 }
                 Err(e) => {
                     self.record_failure(req, e.clone());
@@ -1476,23 +1516,37 @@ impl Backend {
 
     /// The CPU rung: run the members' functional bodies host-side into
     /// the backend-owned device buffers (frontends read back as usual)
-    /// and charge CPU time and energy.
-    fn run_cpu(&mut self, device: usize, group: &[KernelRequest], tasks: &[CpuTask]) {
+    /// and charge CPU time and energy. A member whose body fails is
+    /// failed back to its frontend; the rest still complete.
+    fn run_cpu(
+        &mut self,
+        device: usize,
+        group: &[KernelRequest],
+        tasks: &[CpuTask],
+    ) -> Vec<MemberFate> {
         // The instances run on the host; results must still materialise
         // in the (backend-owned) device buffers the frontends will read.
         let (makespan, energy) = self.decision.run_on_cpu(tasks);
+        let mut fates = Vec::with_capacity(group.len());
         for req in group {
             let body = req.workload.body();
             let args = self.resolved_args(req.ctx, &req.args);
-            for b in 0..req.workload.blocks() {
+            let ran = (0..req.workload.blocks()).try_for_each(|b| {
                 let ctx = BlockCtx {
                     block_idx: b,
                     num_blocks: req.workload.blocks(),
                     threads_per_block: req.workload.desc().threads_per_block,
                     args: &args,
                 };
-                body(&ctx, self.gpus[device].memory_mut());
-            }
+                body(&ctx, self.gpus[device].memory_mut())
+            });
+            fates.push(match ran {
+                Ok(()) => MemberFate::Done(Choice::Cpu),
+                Err(e) => {
+                    self.record_failure(req, e.clone());
+                    MemberFate::Failed(e)
+                }
+            });
         }
         // CPU work occupies the host timeline; the device just waits for
         // the results to land.
@@ -1501,6 +1555,7 @@ impl Backend {
         self.stats.cpu_executions += group.len() as u64;
         self.stats.cpu_time_s += makespan;
         self.stats.cpu_energy_j += energy;
+        fates
     }
 
     /// Queue a permanent failure for delivery at the context's next

@@ -58,12 +58,6 @@ pub struct RuntimeConfig {
     pub threshold_factor: u32,
     /// Cost of one frontend↔backend message round trip, seconds.
     pub channel_latency_s: f64,
-    /// Bandwidth of host-to-host copies into/out of the staging buffer,
-    /// bytes/second.
-    pub staging_bandwidth: f64,
-    /// Size of the backend's pre-allocated staging buffer, bytes.
-    /// Transfers larger than this are chunked (extra round trips).
-    pub staging_buffer_bytes: u64,
     /// Per-frontend synchronisation cost when a consolidation group is
     /// assembled, seconds.
     pub coordination_s: f64,
@@ -147,8 +141,6 @@ impl Default for RuntimeConfig {
             num_gpus: 1,
             threshold_factor: 10,
             channel_latency_s: 250e-6,
-            staging_bandwidth: 1.2e9,
-            staging_buffer_bytes: 64 << 20,
             coordination_s: 40e-3,
             leader_election: true,
             argument_batching: true,

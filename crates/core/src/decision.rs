@@ -98,27 +98,27 @@ impl Assessment {
     }
 }
 
+/// The benefit consolidation must show over the alternatives, as a
+/// fraction of its predicted energy: merging kernels has real
+/// coordination and contention costs the models cannot see, so a
+/// predicted tie is not worth taking (the scenario-1 lesson).
+const CONSOLIDATION_MARGIN: f64 = 0.02;
+
 /// The decision engine.
 pub struct DecisionEngine {
     energy: EnergyModel,
     cpu: CpuEngine,
     cpu_power: CpuPowerModel,
-    margin: f64,
     power_states: Option<PowerStatesConfig>,
 }
 
 impl DecisionEngine {
     /// Compose from the GPU energy model and CPU simulator + power model.
-    /// Consolidation must beat the alternatives by the default margin of
-    /// 2% predicted energy — merging kernels has real coordination and
-    /// contention costs the models cannot see, so a predicted tie is not
-    /// worth taking (the scenario-1 lesson).
     pub fn new(energy: EnergyModel, cpu: CpuEngine, cpu_power: CpuPowerModel) -> Self {
         DecisionEngine {
             energy,
             cpu,
             cpu_power,
-            margin: 0.02,
             power_states: None,
         }
     }
@@ -135,14 +135,6 @@ impl DecisionEngine {
     /// The wired power-state stack, if any.
     pub fn power_policy(&self) -> Option<&PowerStatesConfig> {
         self.power_states.as_ref()
-    }
-
-    /// Override the required consolidation benefit margin (fraction of
-    /// predicted energy).
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        assert!(margin >= 0.0, "margin must be non-negative");
-        self.margin = margin;
-        self
     }
 
     /// The GPU-side energy model.
@@ -189,7 +181,7 @@ impl DecisionEngine {
 
         let candidates = [
             // Consolidation pays a benefit margin: it must clearly win.
-            (Choice::Consolidate, cons_e * (1.0 + self.margin)),
+            (Choice::Consolidate, cons_e * (1.0 + CONSOLIDATION_MARGIN)),
             (Choice::SerialGpu, serial_e),
             (Choice::Cpu, cpu_energy),
         ];
@@ -272,6 +264,24 @@ mod tests {
         assert_eq!(a.choice, Choice::Consolidate, "assessment: {a:?}");
         assert!(a.consolidated.system_energy_j < a.cpu_energy_j);
         assert!(a.consolidated.system_energy_j < a.serial.system_energy_j);
+    }
+
+    #[test]
+    fn consolidation_must_clear_the_margin() {
+        let e = engine();
+        for n in 1..=6 {
+            let mut plan = ConsolidationPlan::new();
+            let mut tasks = Vec::new();
+            for _ in 0..n {
+                plan.push(compute("enc", 8.4, 3));
+                tasks.push(CpuTask::new("enc", 14.4, 2, 8 << 20));
+            }
+            let a = e.assess(&plan, &tasks);
+            let best_other = a.serial.system_energy_j.min(a.cpu_energy_j);
+            let clears =
+                a.consolidated.system_energy_j * (1.0 + CONSOLIDATION_MARGIN) <= best_other;
+            assert_eq!(a.choice == Choice::Consolidate, clears, "n={n}: {a:?}");
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub struct Frontend {
     driver: Driver,
     batching: bool,
     held_args: Vec<KernelArg>,
-    priority: Priority,
     /// Per-frontend jitter stream for backoff under `Busy` answers.
     /// Seeded from the context id alone — never shared state — so
     /// same-seed overload replays stay byte-identical no matter how
@@ -42,7 +41,6 @@ impl Frontend {
             driver,
             batching,
             held_args: Vec::new(),
-            priority: Priority::Normal,
             rng: SimRng::seed_from_u64(
                 0x6f76_6572_6c6f_6164u64 ^ ctx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
@@ -52,17 +50,6 @@ impl Frontend {
     /// This frontend's context id.
     pub fn ctx(&self) -> u64 {
         self.ctx
-    }
-
-    /// Priority class attached to subsequent launches (admission
-    /// control sheds low classes first under pressure).
-    pub fn set_priority(&mut self, priority: Priority) {
-        self.priority = priority;
-    }
-
-    /// The current launch priority class.
-    pub fn priority(&self) -> Priority {
-        self.priority
     }
 
     /// A call answered with a device pointer.
@@ -165,7 +152,7 @@ impl Frontend {
             ctx: self.ctx,
             name: Arc::from(kernel),
             batched_args: batched,
-            priority: self.priority,
+            priority: Priority::Normal,
             attempt,
         });
         if self.batching && !matches!(r, Err(CoreError::Busy { .. })) {

@@ -112,7 +112,7 @@ mod tests {
             0
         }
         fn body(&self) -> BlockFn {
-            Arc::new(|_, _| {})
+            Arc::new(|_, _| Ok(()))
         }
         fn build_args(
             &self,

@@ -97,11 +97,6 @@ impl fmt::Display for CoreError {
 }
 
 impl CoreError {
-    /// `true` for the backpressure answer a client should retry.
-    pub fn is_busy(&self) -> bool {
-        matches!(self, CoreError::Busy { .. })
-    }
-
     /// The suggested retry delay in seconds, for `Busy` answers.
     pub fn retry_after_s(&self) -> Option<f64> {
         match self {

@@ -27,8 +27,6 @@ use crate::template::{Template, TemplateRegistry};
 /// Section IV).
 pub struct RuntimeBuilder {
     cfg: RuntimeConfig,
-    gpu_cfg: GpuConfig,
-    cpu_cfg: CpuConfig,
     idle_w: f64,
     training_seed: u64,
     workloads: HashMap<String, Arc<dyn Workload>>,
@@ -44,8 +42,6 @@ impl RuntimeBuilder {
     pub fn new(cfg: RuntimeConfig) -> Self {
         RuntimeBuilder {
             cfg,
-            gpu_cfg: GpuConfig::tesla_c1060(),
-            cpu_cfg: CpuConfig::xeon_e5520_x2(),
             idle_w: 200.0,
             training_seed: 42,
             workloads: HashMap::new(),
@@ -90,18 +86,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Override the GPU configuration.
-    pub fn gpu_config(mut self, cfg: GpuConfig) -> Self {
-        self.gpu_cfg = cfg;
-        self
-    }
-
-    /// Override the CPU configuration.
-    pub fn cpu_config(mut self, cfg: CpuConfig) -> Self {
-        self.cpu_cfg = cfg;
-        self
-    }
-
     /// Register a workload under its registry name.
     pub fn workload(mut self, name: &str, w: Arc<dyn Workload>) -> Self {
         self.workloads.insert(name.to_string(), w);
@@ -118,13 +102,14 @@ impl RuntimeBuilder {
     /// driver (in-process when the telemetry sink carries a virtual
     /// clock, the daemon thread otherwise), returns the runtime.
     pub fn build(self) -> Runtime {
+        let gpu_cfg = GpuConfig::tesla_c1060();
         let gpus: Vec<GpuDevice> = (0..self.cfg.num_devices())
             .map(|d| {
-                // A fleet spec overrides the builder-level GpuConfig per
-                // device; without one every device is identical.
+                // A fleet spec sets each device's GpuConfig; without one
+                // every device is a C1060.
                 let dev_cfg = match &self.cfg.fleet {
                     Some(fleet) => fleet.devices[d].gpu.clone(),
-                    None => self.gpu_cfg.clone(),
+                    None => gpu_cfg.clone(),
                 };
                 let mut gpu = GpuDevice::new(dev_cfg).with_telemetry(self.telemetry.clone(), d);
                 let targeted = self
@@ -142,20 +127,20 @@ impl RuntimeBuilder {
             ..GpuSystemPower::tesla_system()
         };
         let coeffs = PowerCoefficients::train(
-            &self.gpu_cfg,
+            &gpu_cfg,
             &system.truth,
             &TrainingBenchmark::rodinia_suite(),
             self.training_seed,
         )
         .expect("power-model training must converge");
         let energy = EnergyModel::new(
-            self.gpu_cfg.clone(),
-            PowerModel::new(coeffs, ThermalModel::gt200(), self.gpu_cfg.clone()),
+            gpu_cfg.clone(),
+            PowerModel::new(coeffs, ThermalModel::gt200(), gpu_cfg),
             self.idle_w,
         );
         let mut decision = DecisionEngine::new(
             energy,
-            CpuEngine::new(self.cpu_cfg),
+            CpuEngine::new(CpuConfig::xeon_e5520_x2()),
             CpuPowerModel::xeon_e5520_x2(),
         );
         if let Some(ps) = &self.cfg.power_states {
@@ -220,11 +205,6 @@ impl Runtime {
     pub fn connect(&self) -> Frontend {
         let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
         Frontend::new(ctx, self.driver.clone(), self.batching)
-    }
-
-    /// The system power composition used for energy integration.
-    pub fn system_power(&self) -> &GpuSystemPower {
-        &self.system
     }
 
     /// The telemetry sink attached at build time (disabled by default).

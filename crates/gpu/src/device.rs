@@ -395,7 +395,7 @@ impl GpuDevice {
                         threads_per_block: seg.desc.threads_per_block,
                         args: &seg.args,
                     };
-                    body(&ctx, &mut self.mem);
+                    body(&ctx, &mut self.mem)?;
                 }
             }
         }
@@ -527,9 +527,9 @@ mod tests {
             let dst = ctx.args[1].as_ptr().unwrap();
             let per = 1024 / ctx.num_blocks as usize;
             let base = ctx.block_idx as usize * per;
-            let vals = mem.read_f32s(src, base as u64, per).unwrap();
+            let vals = mem.read_f32s(src, base as u64, per)?;
             let out: Vec<f32> = vals.iter().map(|v| v * 2.0).collect();
-            mem.write_f32s(dst, base as u64, &out).unwrap();
+            mem.write_f32s(dst, base as u64, &out)
         });
         let mut grid = Grid::new();
         grid.push(
@@ -546,6 +546,23 @@ mod tests {
         for (i, v) in got.iter().enumerate() {
             assert_eq!(*v, i as f32 * 2.0);
         }
+    }
+
+    #[test]
+    fn failing_body_fails_the_launch_and_records_nothing() {
+        let mut gpu = device();
+        let buf = gpu.malloc(16).unwrap();
+        let desc = KernelDesc::builder("overrun").comp_insts(2.0).build();
+        let body: crate::kernel::BlockFn =
+            Arc::new(move |_: &BlockCtx<'_>, mem| mem.read(buf, 0, 64).map(drop));
+        let mut grid = Grid::new();
+        grid.push(GridSegment::bare(desc, 2).with_body(body));
+        let t0 = gpu.now_s();
+        let err = gpu.launch(&LaunchConfig::from_grid(grid)).unwrap_err();
+        assert!(matches!(err, GpuError::OutOfBounds { .. }), "{err:?}");
+        assert_eq!(gpu.launch_count(), 0);
+        assert_eq!(gpu.now_s(), t0);
+        assert!(gpu.activity().is_empty());
     }
 
     #[test]

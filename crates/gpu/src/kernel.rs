@@ -17,6 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::device::DevicePtr;
+use crate::error::GpuError;
 use crate::memory::GlobalMemory;
 
 /// A value passed to a kernel at launch, mirroring `cudaSetupArgument`.
@@ -83,8 +84,11 @@ pub struct BlockCtx<'a> {
     pub args: &'a [KernelArg],
 }
 
-/// Functional body of a kernel: runs once per thread block.
-pub type BlockFn = Arc<dyn Fn(&BlockCtx<'_>, &mut GlobalMemory) + Send + Sync>;
+/// Functional body of a kernel: runs once per thread block. A body that
+/// cannot run (a missing argument, an access past its buffer) returns
+/// the error, which fails the launch rather than panicking the host.
+pub type BlockFn =
+    Arc<dyn Fn(&BlockCtx<'_>, &mut GlobalMemory) -> Result<(), GpuError> + Send + Sync>;
 
 /// Per-thread dynamic cost and per-block resource descriptor of a kernel.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,9 +22,9 @@ pub enum Verdict {
     /// The request was abandoned: its frontend disconnected before the
     /// work ran, so the backend drained it from the pending queue.
     Drained,
-    /// A fleet placement event: a context was bound to a device (or
-    /// drained off a tripped one and re-placed). Only emitted when an
-    /// explicit fleet is configured.
+    /// A fleet placement event: a context was bound to a device (only
+    /// emitted when an explicit fleet is configured) or drained off a
+    /// tripped one and re-placed (emitted on any multi-GPU run).
     Placed,
     /// The request was shed by the admission controller (queue bound,
     /// rate limit, priority class under pressure, or CoDel-style queue

@@ -185,17 +185,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Folds a whole per-thread [`MetricsRegistry`] into the sink.
-    pub fn merge_metrics(&self, registry: &MetricsRegistry) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("telemetry sink lock poisoned")
-                .metrics
-                .merge(registry);
-        }
-    }
-
     /// Copies out everything collected so far, or `None` if disabled.
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
         let inner = self.inner.as_ref()?;

@@ -24,7 +24,7 @@ use ewc_gpu::kernel::{BlockFn, KernelArg};
 use ewc_gpu::{DeviceAlloc, GpuConfig, GpuError, KernelDesc};
 
 use crate::calibrate::with_solo_time;
-use crate::registry::{DeviceBuffers, Workload};
+use crate::registry::{ptr_arg, DeviceBuffers, Workload};
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -262,18 +262,17 @@ impl Workload for AesWorkload {
         let n = self.data_bytes;
         let rk = expand_key(&DEMO_KEY);
         Arc::new(move |ctx, mem| {
-            let input = ctx.args[0].as_ptr().expect("arg0: input ptr");
-            let output = ctx.args[1].as_ptr().expect("arg1: output ptr");
+            let input = ptr_arg(ctx, 0)?;
+            let output = ptr_arg(ctx, 1)?;
             let blocks16 = n / 16;
             let per = blocks16.div_ceil(ctx.num_blocks as usize);
             let lo = ctx.block_idx as usize * per;
             let hi = (lo + per).min(blocks16);
             if lo >= hi {
-                return;
+                return Ok(());
             }
             let raw = mem
-                .read(input, (lo * 16) as u64, ((hi - lo) * 16) as u64)
-                .expect("AES input in bounds")
+                .read(input, (lo * 16) as u64, ((hi - lo) * 16) as u64)?
                 .to_vec();
             let mut out = Vec::with_capacity(raw.len());
             for chunk in raw.chunks_exact(16) {
@@ -283,7 +282,6 @@ impl Workload for AesWorkload {
                 out.extend_from_slice(&b);
             }
             mem.write(output, (lo * 16) as u64, &out)
-                .expect("AES output in bounds");
         })
     }
 

@@ -14,7 +14,7 @@ use ewc_gpu::kernel::{BlockFn, KernelArg};
 use ewc_gpu::{DeviceAlloc, GpuConfig, GpuError, KernelDesc};
 
 use crate::calibrate::with_solo_time;
-use crate::registry::{DeviceBuffers, Workload};
+use crate::registry::{ptr_arg, DeviceBuffers, Workload};
 
 /// Risk-free rate used by the SDK sample.
 pub const RISK_FREE: f64 = 0.02;
@@ -167,21 +167,21 @@ impl Workload for BlackScholesWorkload {
     fn body(&self) -> BlockFn {
         let n = self.options;
         Arc::new(move |ctx, mem| {
-            let input = ctx.args[0].as_ptr().expect("arg0: options ptr");
-            let output = ctx.args[1].as_ptr().expect("arg1: prices ptr");
+            let input = ptr_arg(ctx, 0)?;
+            let output = ptr_arg(ctx, 1)?;
             let nb = ctx.num_blocks as usize;
             let chunk = n.div_ceil(nb);
             let lo = ctx.block_idx as usize * chunk;
             let hi = (lo + chunk).min(n);
             if lo >= hi {
-                return;
+                return Ok(());
             }
             // Input layout: spots[n] | strikes[n] | times[n].
-            let spots = mem.read_f32s(input, lo as u64, hi - lo).unwrap();
-            let strikes = mem.read_f32s(input, (n + lo) as u64, hi - lo).unwrap();
-            let times = mem.read_f32s(input, (2 * n + lo) as u64, hi - lo).unwrap();
+            let spots = mem.read_f32s(input, lo as u64, hi - lo)?;
+            let strikes = mem.read_f32s(input, (n + lo) as u64, hi - lo)?;
+            let times = mem.read_f32s(input, (2 * n + lo) as u64, hi - lo)?;
             let prices = price_batch(&spots, &strikes, &times);
-            mem.write_f32s(output, (lo * 2) as u64, &prices).unwrap();
+            mem.write_f32s(output, (lo * 2) as u64, &prices)
         })
     }
 

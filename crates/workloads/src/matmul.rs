@@ -19,7 +19,7 @@ use ewc_gpu::kernel::{BlockFn, KernelArg};
 use ewc_gpu::{DeviceAlloc, GpuConfig, GpuError, KernelDesc};
 
 use crate::calibrate::with_solo_time;
-use crate::registry::{DeviceBuffers, Workload};
+use crate::registry::{ptr_arg, DeviceBuffers, Workload};
 
 /// Reference GEMM: row-major `C = A × B`, square `n × n`.
 pub fn matmul_ref(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
@@ -141,21 +141,20 @@ impl Workload for MatmulWorkload {
     fn body(&self) -> BlockFn {
         let n = self.n;
         Arc::new(move |ctx, mem| {
-            let input = ctx.args[0].as_ptr().expect("arg0: A|B ptr");
-            let output = ctx.args[1].as_ptr().expect("arg1: C ptr");
+            let input = ptr_arg(ctx, 0)?;
+            let output = ptr_arg(ctx, 1)?;
             let nb = ctx.num_blocks as usize;
             let band = n.div_ceil(nb);
             let lo = ctx.block_idx as usize * band;
             let hi = (lo + band).min(n);
             if lo >= hi {
-                return;
+                return Ok(());
             }
-            let a = mem.read_f32s(input, 0, n * n).unwrap();
-            let b = mem.read_f32s(input, (n * n) as u64, n * n).unwrap();
+            let a = mem.read_f32s(input, 0, n * n)?;
+            let b = mem.read_f32s(input, (n * n) as u64, n * n)?;
             let mut c = vec![0.0f32; n * n];
             matmul_band(&a, &b, &mut c, n, lo, hi);
             mem.write_f32s(output, (lo * n) as u64, &c[lo * n..hi * n])
-                .unwrap();
         })
     }
 

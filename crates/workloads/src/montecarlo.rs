@@ -16,7 +16,7 @@ use ewc_gpu::kernel::{BlockFn, KernelArg};
 use ewc_gpu::{DeviceAlloc, GpuConfig, GpuError, KernelDesc};
 
 use crate::calibrate::with_solo_time;
-use crate::registry::{DeviceBuffers, Workload};
+use crate::registry::{ptr_arg, DeviceBuffers, Workload};
 
 /// Fixed market parameters of the SDK sample.
 pub const SPOT: f64 = 25.0;
@@ -154,28 +154,28 @@ impl Workload for MonteCarloWorkload {
     fn body(&self) -> BlockFn {
         let paths = self.paths;
         Arc::new(move |ctx, mem| {
-            let output = ctx.args[1].as_ptr().expect("arg1: partials ptr");
+            let output = ptr_arg(ctx, 1)?;
             let nb = u64::from(ctx.num_blocks);
             let per = paths.div_ceil(nb);
             let lo = u64::from(ctx.block_idx) * per;
             let hi = (lo + per).min(paths);
             let sum = if lo < hi { partial_sum(lo, hi) } else { 0.0 };
             let off = u64::from(ctx.block_idx) * 8;
-            mem.write(output, off, &sum.to_le_bytes())
-                .expect("partial in bounds");
+            mem.write(output, off, &sum.to_le_bytes())?;
             // Final block reduces the partials into the price (the real
             // sample issues a second reduction kernel; our device runs
             // bodies in block order, so all partials are present).
             if u64::from(ctx.block_idx) == nb - 1 {
                 let mut total = 0.0_f64;
                 for b in 0..nb {
-                    let raw = mem.read(output, b * 8, 8).unwrap();
-                    total += f64::from_le_bytes(raw.try_into().unwrap());
+                    let mut raw = [0u8; 8];
+                    raw.copy_from_slice(mem.read(output, b * 8, 8)?);
+                    total += f64::from_le_bytes(raw);
                 }
                 let price = total / paths as f64;
-                mem.write(output, nb * 8, &price.to_le_bytes())
-                    .expect("price in bounds");
+                mem.write(output, nb * 8, &price.to_le_bytes())?;
             }
+            Ok(())
         })
     }
 

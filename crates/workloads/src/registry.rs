@@ -6,8 +6,10 @@
 //! operating on device memory.
 
 use ewc_cpu::CpuTask;
-use ewc_gpu::kernel::{BlockFn, KernelArg};
-use ewc_gpu::{DeviceAlloc, GpuDevice, GpuError, Grid, GridSegment, KernelDesc, LaunchConfig};
+use ewc_gpu::kernel::{BlockCtx, BlockFn, KernelArg};
+use ewc_gpu::{
+    DeviceAlloc, DevicePtr, GpuDevice, GpuError, Grid, GridSegment, KernelDesc, LaunchConfig,
+};
 
 /// Device buffers backing one workload instance.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +46,9 @@ pub trait Workload: Send + Sync {
     /// The functional kernel body. Bodies interpret `ctx.args`
     /// positionally, exactly like a CUDA kernel reads its parameters;
     /// by convention `args[0]` is the input pointer and `args[1]` the
-    /// output pointer.
+    /// output pointer. A missing argument or an access past a buffer is
+    /// returned as an error, never a panic: bodies run inside the
+    /// backend.
     fn body(&self) -> BlockFn;
 
     /// Allocate and initialise device buffers for a seeded instance,
@@ -64,6 +68,15 @@ pub trait Workload: Send + Sync {
     fn constant_data(&self) -> Option<(&'static str, Vec<u8>)> {
         None
     }
+}
+
+/// Launch argument `i` of a block body as a device pointer. A missing or
+/// non-pointer argument is a bad launch, reported like any other.
+pub(crate) fn ptr_arg(ctx: &BlockCtx<'_>, i: usize) -> Result<DevicePtr, GpuError> {
+    ctx.args
+        .get(i)
+        .and_then(KernelArg::as_ptr)
+        .ok_or_else(|| GpuError::BadConfig(format!("kernel argument {i} is not a device pointer")))
 }
 
 /// Build the single-instance grid segment for a workload.
@@ -152,17 +165,17 @@ mod tests {
         fn body(&self) -> BlockFn {
             let n = self.n;
             Arc::new(move |ctx, mem| {
-                let input = ctx.args[0].as_ptr().unwrap();
-                let output = ctx.args[1].as_ptr().unwrap();
+                let input = ptr_arg(ctx, 0)?;
+                let output = ptr_arg(ctx, 1)?;
                 let per = n.div_ceil(ctx.num_blocks as usize);
                 let lo = ctx.block_idx as usize * per;
                 let hi = (lo + per).min(n);
                 if lo >= hi {
-                    return;
+                    return Ok(());
                 }
-                let vals = mem.read_u32s(input, lo as u64, hi - lo).unwrap();
+                let vals = mem.read_u32s(input, lo as u64, hi - lo)?;
                 let out: Vec<u32> = vals.iter().map(|v| !v).collect();
-                mem.write_u32s(output, lo as u64, &out).unwrap();
+                mem.write_u32s(output, lo as u64, &out)
             })
         }
         fn build_args(

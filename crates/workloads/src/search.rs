@@ -14,7 +14,7 @@ use ewc_gpu::kernel::{BlockFn, KernelArg};
 use ewc_gpu::{DeviceAlloc, GpuConfig, GpuError, KernelDesc};
 
 use crate::calibrate::latency_bound;
-use crate::registry::{DeviceBuffers, Workload};
+use crate::registry::{ptr_arg, DeviceBuffers, Workload};
 
 /// Count occurrences of `pattern` in `text`, overlapping matches
 /// included.
@@ -164,23 +164,19 @@ impl Workload for SearchWorkload {
         let n = self.text_bytes;
         let pattern = self.pattern.clone();
         Arc::new(move |ctx, mem| {
-            let input = ctx.args[0].as_ptr().expect("arg0: text ptr");
-            let output = ctx.args[1].as_ptr().expect("arg1: counts ptr");
+            let input = ptr_arg(ctx, 0)?;
+            let output = ptr_arg(ctx, 1)?;
             let nb = ctx.num_blocks as usize;
             let chunk = n.div_ceil(nb);
             let lo = ctx.block_idx as usize * chunk;
             let hi = (lo + chunk).min(n);
-            let text = mem
-                .read(input, 0, n as u64)
-                .expect("text in bounds")
-                .to_vec();
+            let text = mem.read(input, 0, n as u64)?.to_vec();
             let count = if lo < hi {
                 count_matches_in_range(&text, &pattern, lo, hi)
             } else {
                 0
             };
             mem.write_u32s(output, ctx.block_idx as u64, &[count])
-                .expect("count in bounds");
         })
     }
 

@@ -17,7 +17,7 @@ use ewc_gpu::kernel::{BlockFn, KernelArg};
 use ewc_gpu::{DeviceAlloc, GpuConfig, GpuError, KernelDesc};
 
 use crate::calibrate::latency_bound;
-use crate::registry::{DeviceBuffers, Workload};
+use crate::registry::{ptr_arg, DeviceBuffers, Workload};
 
 /// Bitonic-sort a slice in ascending order. Non-power-of-two lengths are
 /// padded with `u32::MAX` sentinels (exactly what the CUDA kernels of the
@@ -158,8 +158,8 @@ impl Workload for SortWorkload {
     fn body(&self) -> BlockFn {
         let n = self.elems;
         Arc::new(move |ctx, mem| {
-            let input = ctx.args[0].as_ptr().expect("arg0: input ptr");
-            let output = ctx.args[1].as_ptr().expect("arg1: output ptr");
+            let input = ptr_arg(ctx, 0)?;
+            let output = ptr_arg(ctx, 1)?;
             let nb = ctx.num_blocks as usize;
             let chunk = n.div_ceil(nb);
             let lo = ctx.block_idx as usize * chunk;
@@ -168,19 +168,20 @@ impl Workload for SortWorkload {
                 // Phase 1: sort this block's chunk in place (input buffer
                 // doubles as scratch, as the real kernel's shared-memory
                 // staging would).
-                let mut vals = mem.read_u32s(input, lo as u64, hi - lo).unwrap();
+                let mut vals = mem.read_u32s(input, lo as u64, hi - lo)?;
                 bitonic_sort(&mut vals);
-                mem.write_u32s(input, lo as u64, &vals).unwrap();
+                mem.write_u32s(input, lo as u64, &vals)?;
             }
             // Phase 2 (merge kernel): the last block merges all chunks.
             // Our device executes bodies in block order, so every chunk
             // is sorted by the time this runs — standing in for the
             // separate merge launch of a real implementation.
             if ctx.block_idx as usize == nb - 1 {
-                let all = mem.read_u32s(input, 0, n).unwrap();
+                let all = mem.read_u32s(input, 0, n)?;
                 let merged = merge_sorted_chunks(&all, chunk);
-                mem.write_u32s(output, 0, &merged).unwrap();
+                mem.write_u32s(output, 0, &merged)?;
             }
+            Ok(())
         })
     }
 

@@ -10,7 +10,7 @@ use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{GpuConfig, GpuError, KernelDesc};
 use ewc_telemetry::TelemetrySink;
 use ewc_workloads::registry::DeviceBuffers;
-use ewc_workloads::{AesWorkload, Workload};
+use ewc_workloads::{AesWorkload, SortWorkload, Workload};
 
 fn runtime() -> (Runtime, Arc<dyn Workload>) {
     let cfg = GpuConfig::tesla_c1060();
@@ -51,8 +51,8 @@ fn device_oom_is_reported_and_survivable() {
 
 #[test]
 fn invalid_pointer_operations_are_rejected() {
-    let (rt, _) = runtime();
-    let fe = rt.connect();
+    let (rt, aes) = runtime();
+    let mut fe = rt.connect();
     let bogus = ewc_gpu::DevicePtr(0xdead_0000);
     assert!(matches!(
         fe.memcpy_h2d(bogus, 0, &[1, 2, 3]).unwrap_err(),
@@ -66,6 +66,101 @@ fn invalid_pointer_operations_are_rejected() {
         fe.free(bogus).unwrap_err(),
         CoreError::Gpu(GpuError::InvalidPointer(_))
     ));
+
+    // Another context's live buffer is no more valid than a made-up
+    // address: not to read, write, free, or pass to a kernel.
+    let owner = rt.connect();
+    let theirs = owner.malloc(16).unwrap();
+    owner.memcpy_h2d(theirs, 0, &[7u8; 16]).unwrap();
+    let foreign = |e: CoreError| e == CoreError::Gpu(GpuError::InvalidPointer(theirs.0));
+    assert!(foreign(fe.memcpy_d2h(theirs, 0, 16).unwrap_err()));
+    assert!(foreign(fe.memcpy_h2d(theirs, 0, &[1u8; 16]).unwrap_err()));
+    assert!(foreign(fe.free(theirs).unwrap_err()));
+    let (mut args, _bufs) = aes.build_args(&mut fe, 1).unwrap();
+    args[1] = KernelArg::Ptr(theirs);
+    fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
+        .unwrap();
+    assert!(foreign(
+        fe.launch_with("encryption", args, Priority::Normal, 0)
+            .unwrap_err()
+    ));
+    fe.sync().unwrap();
+
+    // The owner's bytes are untouched and still its own.
+    assert_eq!(owner.memcpy_d2h(theirs, 0, 16).unwrap(), vec![7u8; 16]);
+    owner.free(theirs).unwrap();
+    let report = rt.shutdown();
+    assert!(
+        report.stats.records.is_empty(),
+        "the refused launch never ran"
+    );
+}
+
+#[test]
+fn bad_launch_arguments_fail_the_request_not_the_backend() {
+    // Kernel bodies run inside the backend core, on either driver. A
+    // body that cannot run fails its own request at the next `sync`;
+    // the core keeps serving every other frontend.
+    for virtual_clock in [false, true] {
+        let sink = if virtual_clock {
+            TelemetrySink::disabled_virtual(VirtualClock::new())
+        } else {
+            TelemetrySink::disabled()
+        };
+        let cfg = GpuConfig::tesla_c1060();
+        let sort: Arc<dyn Workload> = Arc::new(SortWorkload::fig8(&cfg));
+        let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
+        let rt = Runtime::builder(RuntimeConfig {
+            force_gpu: true,
+            ..RuntimeConfig::default()
+        })
+        .telemetry(sink)
+        .workload("sorting", Arc::clone(&sort))
+        .workload("encryption", Arc::clone(&aes))
+        .template(Template::homogeneous("sorting"))
+        .template(Template::homogeneous("encryption"))
+        .build();
+
+        // Buffers far smaller than the sort reads and writes.
+        let mut undersized = rt.connect();
+        let tiny = vec![
+            KernelArg::Ptr(undersized.malloc(16).unwrap()),
+            KernelArg::Ptr(undersized.malloc(16).unwrap()),
+        ];
+        undersized
+            .configure_call(sort.blocks(), sort.desc().threads_per_block)
+            .unwrap();
+        undersized
+            .launch_with("sorting", tiny, Priority::Normal, 0)
+            .unwrap();
+
+        // No arguments at all, grouped with a well-formed peer.
+        let mut bare = rt.connect();
+        bare.configure_call(aes.blocks(), aes.desc().threads_per_block)
+            .unwrap();
+        bare.launch_with("encryption", Vec::new(), Priority::Normal, 0)
+            .unwrap();
+        let mut peer = rt.connect();
+        let (args, bufs) = aes.build_args(&mut peer, 3).unwrap();
+        peer.configure_call(aes.blocks(), aes.desc().threads_per_block)
+            .unwrap();
+        peer.launch_with("encryption", args, Priority::Normal, 0)
+            .unwrap();
+
+        peer.sync().unwrap();
+        let out = peer.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
+        assert_eq!(out, aes.expected_output(3), "virtual clock {virtual_clock}");
+        for (who, fe) in [("undersized", &undersized), ("bare", &bare)] {
+            let err = fe.sync().unwrap_err();
+            assert!(
+                matches!(err, CoreError::KernelFailed { .. }),
+                "{who} (virtual clock {virtual_clock}): {err:?}"
+            );
+        }
+        let report = rt.shutdown();
+        assert_eq!(report.stats.failed_kernels, 2);
+        assert_eq!(report.stats.kernel_outcomes.len(), 1, "only the peer ran");
+    }
 }
 
 #[test]
@@ -197,7 +292,7 @@ impl Workload for SharedMemHog {
         4
     }
     fn body(&self) -> ewc_gpu::kernel::BlockFn {
-        Arc::new(|_, _| {})
+        Arc::new(|_, _| Ok(()))
     }
     fn build_args(
         &self,
