@@ -165,8 +165,8 @@ fn predict(name: &str, n: u32) -> Result<String, String> {
         200.0,
     );
     let plan = ConsolidationPlan::homogeneous(w.desc(), w.blocks(), n);
-    let cons = model.predict(&plan);
-    let serial = model.predict_serial(&plan);
+    let gpu = model.predict_alternatives(&plan, None);
+    let (cons, serial) = (gpu.consolidated, gpu.serial);
 
     let cpu_engine = ewc_cpu::CpuEngine::new(ewc_cpu::CpuConfig::xeon_e5520_x2());
     let tasks: Vec<_> = (0..n).map(|_| w.cpu_task()).collect();

@@ -1077,6 +1077,7 @@ impl Backend {
             cpu_tasks.push(req.workload.cpu_task());
         }
         let mut assessment = self.decision.assess(&plan, &cpu_tasks);
+        self.stats.model_evals += assessment.model_evals;
         let mut forced = false;
         if self.cfg.force_gpu && assessment.choice == Choice::Cpu {
             forced = true;
@@ -1216,6 +1217,8 @@ impl Backend {
             }
             let label = verdict_of(assessment.choice).label();
             self.sink.counter_add("groups", 1.0);
+            self.sink
+                .counter_add("model_evals", assessment.model_evals as f64);
             self.sink.counter_add(&format!("verdict_{label}"), 1.0);
         }
     }

@@ -68,6 +68,9 @@ pub struct Assessment {
     /// Power-state verdicts for the GPU alternatives (`None` when the
     /// engine runs without a power-state stack — the flat behaviour).
     pub state: Option<StateDecision>,
+    /// GPU model evaluations this assessment ran (each a placement plus
+    /// the performance and power models for one plan in one state).
+    pub model_evals: u64,
 }
 
 impl Assessment {
@@ -145,10 +148,11 @@ impl DecisionEngine {
     /// Assess a candidate group: `plan` describes the GPU side (template
     /// layout order), `cpu_tasks` the same instances as CPU jobs.
     pub fn assess(&self, plan: &ConsolidationPlan, cpu_tasks: &[CpuTask]) -> Assessment {
-        // The three alternatives are independent pure predictions of a
-        // few microseconds each: run them serially, in a fixed order.
-        let consolidated = self.energy.predict(plan);
-        let serial = self.energy.predict_serial(plan);
+        // Each distinct kernel is evaluated once per operating point: the
+        // flat pass below is also the P0 anchor's, so the power-state
+        // pass re-tags it instead of predicting it again.
+        let flat = self.energy.predict_alternatives(plan, None);
+        let mut model_evals = flat.evals;
         let cpu_out = self.cpu.run(cpu_tasks);
         let cpu_energy = self.cpu_power.energy_j(&cpu_out);
 
@@ -157,16 +161,23 @@ impl DecisionEngine {
         // ladder's operating points and let the knob pick; the verdict
         // below then compares the knob-chosen horizon energies.
         let state = self.power_states.as_ref().map(|ps| {
-            let evals_c: Vec<(usize, Prediction)> = ps
-                .table
-                .operating_points()
-                .map(|(l, s)| (l, self.energy.predict_in_state(plan, s)))
-                .collect();
-            let evals_s: Vec<(usize, Prediction)> = ps
-                .table
-                .operating_points()
-                .map(|(l, s)| (l, self.energy.predict_serial_in_state(plan, s)))
-                .collect();
+            let mut evals_c = Vec::new();
+            let mut evals_s = Vec::new();
+            for (l, s) in ps.table.operating_points() {
+                let (c, sr) = if s.is_anchor() {
+                    let tag = |p: &Prediction| Prediction {
+                        state: Some(*s),
+                        ..p.clone()
+                    };
+                    (tag(&flat.consolidated), tag(&flat.serial))
+                } else {
+                    let alt = self.energy.predict_alternatives(plan, Some(s));
+                    model_evals += alt.evals;
+                    (alt.consolidated, alt.serial)
+                };
+                evals_c.push((l, c));
+                evals_s.push((l, sr));
+            }
             let idle_w = self.energy.idle_w();
             StateDecision {
                 knob: ps.knob,
@@ -176,7 +187,10 @@ impl DecisionEngine {
         });
         let (cons_e, serial_e) = match &state {
             Some(sd) => (sd.consolidated.horizon_energy_j, sd.serial.horizon_energy_j),
-            None => (consolidated.system_energy_j, serial.system_energy_j),
+            None => (
+                flat.consolidated.system_energy_j,
+                flat.serial.system_energy_j,
+            ),
         };
 
         let candidates = [
@@ -196,11 +210,12 @@ impl DecisionEngine {
 
         Assessment {
             choice,
-            consolidated,
-            serial,
+            consolidated: flat.consolidated,
+            serial: flat.serial,
             cpu_time_s: cpu_out.makespan_s,
             cpu_energy_j: cpu_energy,
             state,
+            model_evals,
         }
     }
 
@@ -215,9 +230,12 @@ impl DecisionEngine {
 mod tests {
     use super::*;
     use ewc_cpu::CpuConfig;
-    use ewc_energy::{GpuPowerGroundTruth, PowerCoefficients, ThermalModel, TrainingBenchmark};
-    use ewc_gpu::{GpuConfig, KernelDesc};
-    use ewc_models::{KernelSpec, PowerModel};
+    use ewc_energy::{
+        GpuPowerGroundTruth, PowerCoefficients, PowerState, PowerStateTable, ThermalModel,
+        TrainingBenchmark,
+    };
+    use ewc_gpu::{GpuConfig, KernelDesc, SimRng};
+    use ewc_models::{analyze, KernelSpec, PowerModel};
 
     fn engine() -> DecisionEngine {
         let cfg = GpuConfig::tesla_c1060();
@@ -391,5 +409,355 @@ mod tests {
             Choice::Cpu => assert_eq!(t, a.cpu_time_s),
         }
         assert!(en > 0.0);
+    }
+
+    /// `assess` as it ran before each distinct kernel was evaluated once
+    /// per operating point: every member alone, in every state, P0
+    /// recomputed. Written against the public placement, performance and
+    /// power models, so it shares no code with `EnergyModel`.
+    mod reference {
+        use super::*;
+
+        fn predict(m: &EnergyModel, plan: &ConsolidationPlan) -> Prediction {
+            let placement = analyze(plan, m.perf().config());
+            let perf = m.perf().predict_placed(plan, &placement);
+            let rates =
+                m.power()
+                    .predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
+            let dyn_power_w = m.power().predict_dyn_power_w(&rates);
+            let thermal_w = m.power().predict_thermal_w(dyn_power_w);
+            let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
+            let system_energy_j = gpu_energy_j + m.idle_w() * perf.time_s;
+            Prediction {
+                time_s: perf.time_s,
+                dyn_power_w,
+                thermal_w,
+                gpu_energy_j,
+                system_energy_j,
+                state: None,
+                perf,
+            }
+        }
+
+        fn predict_in_state(
+            m: &EnergyModel,
+            plan: &ConsolidationPlan,
+            state: &PowerState,
+        ) -> Prediction {
+            if state.freq_scale == 1.0 && state.volt_scale == 1.0 {
+                return Prediction {
+                    state: Some(*state),
+                    ..predict(m, plan)
+                };
+            }
+            let mut cfg = m.perf().config().clone();
+            cfg.clock_hz *= state.freq_scale;
+            let perf_model = ewc_models::PerfModel::new(cfg.clone());
+            let power_model = m.power().with_config(cfg.clone());
+            let placement = analyze(plan, &cfg);
+            let perf = perf_model.predict_placed(plan, &placement);
+            let rates =
+                power_model.predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
+            let dyn_power_w = power_model.predict_dyn_power_w(&rates) * state.volt_sq();
+            let thermal_w = power_model.predict_thermal_w(dyn_power_w);
+            let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
+            let system_energy_j = gpu_energy_j + m.idle_w() * perf.time_s;
+            Prediction {
+                time_s: perf.time_s,
+                dyn_power_w,
+                thermal_w,
+                gpu_energy_j,
+                system_energy_j,
+                state: Some(*state),
+                perf,
+            }
+        }
+
+        fn serial(
+            m: &EnergyModel,
+            plan: &ConsolidationPlan,
+            state: Option<&PowerState>,
+        ) -> Prediction {
+            let mut time = 0.0;
+            let mut gpu_energy = 0.0;
+            let mut last_perf = None;
+            for k in &plan.members {
+                let single =
+                    ConsolidationPlan::new().with(KernelSpec::new(k.desc.clone(), k.blocks));
+                let p = match state {
+                    Some(s) => predict_in_state(m, &single, s),
+                    None => predict(m, &single),
+                };
+                time += p.time_s;
+                gpu_energy += p.gpu_energy_j;
+                last_perf = Some(p.perf);
+            }
+            Prediction {
+                time_s: time,
+                dyn_power_w: if time > 0.0 { gpu_energy / time } else { 0.0 },
+                thermal_w: 0.0,
+                gpu_energy_j: gpu_energy,
+                system_energy_j: gpu_energy + m.idle_w() * time,
+                state: state.copied(),
+                perf: last_perf.unwrap_or_else(|| m.perf().predict(&ConsolidationPlan::new())),
+            }
+        }
+
+        pub fn assess(
+            e: &DecisionEngine,
+            plan: &ConsolidationPlan,
+            tasks: &[CpuTask],
+        ) -> Assessment {
+            let m = &e.energy;
+            let n = plan.members.len() as u64;
+            let consolidated = predict(m, plan);
+            let serial_flat = serial(m, plan, None);
+            let cpu_out = e.cpu.run(tasks);
+            let cpu_energy = e.cpu_power.energy_j(&cpu_out);
+            let mut model_evals = 1 + n;
+            let state = e.power_states.as_ref().map(|ps| {
+                let evals_c: Vec<(usize, Prediction)> = ps
+                    .table
+                    .operating_points()
+                    .map(|(l, s)| (l, predict_in_state(m, plan, s)))
+                    .collect();
+                let evals_s: Vec<(usize, Prediction)> = ps
+                    .table
+                    .operating_points()
+                    .map(|(l, s)| (l, serial(m, plan, Some(s))))
+                    .collect();
+                model_evals += evals_c.len() as u64 * (1 + n);
+                StateDecision {
+                    knob: ps.knob,
+                    consolidated: choose_state(&ps.table, &ps.knob, &evals_c, m.idle_w()),
+                    serial: choose_state(&ps.table, &ps.knob, &evals_s, m.idle_w()),
+                }
+            });
+            let (cons_e, serial_e) = match &state {
+                Some(sd) => (sd.consolidated.horizon_energy_j, sd.serial.horizon_energy_j),
+                None => (consolidated.system_energy_j, serial_flat.system_energy_j),
+            };
+            let choice = [
+                (Choice::Consolidate, cons_e * (1.0 + CONSOLIDATION_MARGIN)),
+                (Choice::SerialGpu, serial_e),
+                (Choice::Cpu, cpu_energy),
+            ]
+            .into_iter()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(c, _)| c)
+            .unwrap_or(Choice::SerialGpu);
+            Assessment {
+                choice,
+                consolidated,
+                serial: serial_flat,
+                cpu_time_s: cpu_out.makespan_s,
+                cpu_energy_j: cpu_energy,
+                state,
+                model_evals,
+            }
+        }
+    }
+
+    /// Every f64 of a prediction as bits, plus its discrete fields.
+    fn prediction_bits(p: &Prediction) -> (Option<&'static str>, Vec<u64>, &[u32], usize, bool) {
+        let f = &p.perf;
+        let scalars = [
+            p.time_s,
+            p.dyn_power_w,
+            p.thermal_w,
+            p.gpu_energy_j,
+            p.system_energy_j,
+            f.time_s,
+            f.bw_stretch,
+        ];
+        let bits = scalars
+            .iter()
+            .chain(&f.per_sm_finish)
+            .chain(&f.member_finish)
+            .map(|x| x.to_bits())
+            .collect();
+        (
+            p.state.map(|s| s.name),
+            bits,
+            &f.critical_sms,
+            f.sms_used,
+            f.is_type1,
+        )
+    }
+
+    /// A state choice as `(level, [chosen, candidates…])`, every f64 as
+    /// bits.
+    fn choice_bits(c: &StateChoice) -> (usize, Vec<(&'static str, u64, u64)>) {
+        let chosen = (c.state, c.time_s, c.horizon_energy_j);
+        let all = std::iter::once(chosen)
+            .chain(c.candidates.iter().copied())
+            .map(|(s, t, e)| (s, t.to_bits(), e.to_bits()))
+            .collect();
+        (c.level, all)
+    }
+
+    fn assert_bit_identical(got: &Assessment, want: &Assessment, what: &str) {
+        assert_eq!(got.choice, want.choice, "{what}");
+        assert_eq!(
+            prediction_bits(&got.consolidated),
+            prediction_bits(&want.consolidated),
+            "{what}"
+        );
+        assert_eq!(
+            prediction_bits(&got.serial),
+            prediction_bits(&want.serial),
+            "{what}"
+        );
+        assert_eq!(
+            got.cpu_time_s.to_bits(),
+            want.cpu_time_s.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            got.cpu_energy_j.to_bits(),
+            want.cpu_energy_j.to_bits(),
+            "{what}"
+        );
+        match (&got.state, &want.state) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                assert_eq!(g.knob, w.knob, "{what}");
+                assert_eq!(
+                    choice_bits(&g.consolidated),
+                    choice_bits(&w.consolidated),
+                    "{what}"
+                );
+                assert_eq!(choice_bits(&g.serial), choice_bits(&w.serial), "{what}");
+            }
+            _ => panic!("{what}: state pass present in only one assessment"),
+        }
+    }
+
+    /// A random feasible kernel: block size, registers (within one SM's
+    /// register file), compute and memory work all drawn from `rng`.
+    fn random_spec(rng: &mut SimRng, name: &str, blocks: std::ops::Range<u32>) -> KernelSpec {
+        let c = GpuConfig::tesla_c1060();
+        let warps = rng.range_u32(2, 17);
+        let tpb = 32 * warps;
+        let regs = rng.range_u32(8, (16384 / tpb).min(80) + 1);
+        let secs = rng.range_f64(0.2, 10.0);
+        let desc = KernelDesc::builder(name)
+            .threads_per_block(tpb)
+            .regs_per_thread(regs)
+            .comp_insts(secs * c.clock_hz / (f64::from(warps) * c.warp_issue_cycles()))
+            .coalesced_mem(rng.range_f64(0.0, 2000.0))
+            .uncoalesced_mem(rng.range_f64(0.0, 200.0))
+            .build();
+        KernelSpec::new(desc, rng.range_u32(blocks.start, blocks.end))
+    }
+
+    /// Plan shape `case % 6`: homogeneous, heterogeneous, repeats that
+    /// are not adjacent, one descriptor at mixed block counts, an
+    /// oversubscribed shape that redistributes, and a single member.
+    fn sweep_plan(rng: &mut SimRng, case: usize) -> ConsolidationPlan {
+        let mut plan = ConsolidationPlan::new();
+        match case % 6 {
+            0 => {
+                let k = random_spec(rng, "homo", 1..10);
+                for _ in 0..rng.range_u32(2, 12) {
+                    plan.push(k.clone());
+                }
+            }
+            1 => {
+                for i in 0..rng.range_u32(2, 7) {
+                    plan.push(random_spec(rng, &format!("het{i}"), 1..12));
+                }
+            }
+            2 => {
+                let pool: Vec<KernelSpec> = (0..3)
+                    .map(|i| random_spec(rng, &format!("rep{i}"), 1..8))
+                    .collect();
+                for i in [0, 1, 0, 2, 1, 0, 2] {
+                    plan.push(pool[i].clone());
+                }
+            }
+            3 => {
+                let k = random_spec(rng, "mixed", 1..2);
+                for blocks in [3, 5, 3, 8, 5, 3] {
+                    plan.push(KernelSpec::new(k.desc.clone(), blocks));
+                }
+            }
+            4 => {
+                // One block per SM (512 threads × 32 registers fill the
+                // register file): 45 blocks overflow the 30-SM first wave.
+                let big = KernelSpec::new(
+                    KernelDesc {
+                        threads_per_block: 512,
+                        regs_per_thread: 32,
+                        ..random_spec(rng, "big", 1..2).desc
+                    },
+                    45,
+                );
+                let small = random_spec(rng, "small", 4..5);
+                for k in [&big, &small, &big] {
+                    plan.push(k.clone());
+                }
+                assert!(analyze(&plan, &GpuConfig::tesla_c1060()).redistributed);
+            }
+            _ => plan.push(random_spec(rng, "one", 1..30)),
+        }
+        plan
+    }
+
+    #[test]
+    fn assess_matches_the_per_member_reference_bit_for_bit() {
+        let knobs = [
+            PolicyKnob::RaceToIdle,
+            PolicyKnob::Pace { deadline_s: 2.0 },
+            PolicyKnob::Pace { deadline_s: 12.0 },
+            PolicyKnob::CapAware { cap_w: 250.0 },
+            PolicyKnob::CapAware { cap_w: 400.0 },
+        ];
+        let mut engines = vec![("flat".to_string(), engine())];
+        for knob in knobs {
+            engines.push((
+                format!("tesla_dvfs {knob:?}"),
+                engine().with_power_policy(PowerStatesConfig::tesla(knob)),
+            ));
+            engines.push((
+                format!("one-state {knob:?}"),
+                engine().with_power_policy(PowerStatesConfig {
+                    table: PowerStateTable::single(40.0),
+                    knob,
+                }),
+            ));
+        }
+        let mut rng = SimRng::seed_from_u64(0x5eed);
+        for case in 0..36 {
+            let plan = sweep_plan(&mut rng, case);
+            let tasks: Vec<CpuTask> = plan
+                .members
+                .iter()
+                .map(|m| CpuTask::new(&m.desc.name, rng.range_f64(1.0, 40.0), 2, 1 << 20))
+                .collect();
+            for (label, e) in &engines {
+                let got = e.assess(&plan, &tasks);
+                let want = reference::assess(e, &plan, &tasks);
+                assert_bit_identical(&got, &want, &format!("case {case}, {label}"));
+                assert!(got.model_evals <= want.model_evals, "case {case}, {label}");
+            }
+        }
+    }
+
+    #[test]
+    fn race_on_seven_identical_members_runs_six_model_evaluations() {
+        let mut plan = ConsolidationPlan::new();
+        let mut tasks = Vec::new();
+        for _ in 0..7 {
+            plan.push(compute("enc", 8.4, 3));
+            tasks.push(CpuTask::new("enc", 14.4, 2, 8 << 20));
+        }
+        // Two flat (merged launch, the one distinct member), two each at
+        // p2 and p1; P0 reuses the flat pair.
+        let race = engine().with_power_policy(PowerStatesConfig::race());
+        assert_eq!(race.assess(&plan, &tasks).model_evals, 6);
+        // Every member in every state, P0 recomputed: 1 + 7 + 3 × (1 + 7).
+        assert_eq!(reference::assess(&race, &plan, &tasks).model_evals, 32);
+        assert_eq!(engine().assess(&plan, &tasks).model_evals, 2);
     }
 }

@@ -326,6 +326,9 @@ mod tests {
         }
         let report = rt.shutdown();
         assert_eq!(report.stats.consolidated_launches, 1);
+        // One flat assessment of three identical members: the merged
+        // launch plus the one distinct member alone.
+        assert_eq!(report.stats.model_evals, 2);
         let rec = &report.stats.records[0];
         assert_eq!(rec.choice, Choice::Consolidate);
         assert_eq!(rec.kernels.len(), 3);

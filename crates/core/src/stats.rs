@@ -112,6 +112,9 @@ pub struct BackendStats {
     /// changes and race-to-idle parks). Zero without a power-state
     /// stack.
     pub state_changes: u64,
+    /// GPU model evaluations the decision engine ran across every
+    /// group's assessment (see `Assessment::model_evals`).
+    pub model_evals: u64,
     /// Launch attempts answered with `Busy` backpressure (each may be
     /// retried; not a terminal state).
     pub busy_rejections: u64,

@@ -86,24 +86,7 @@ impl EnergyModel {
 
     /// Predict time, power and energy for a consolidated launch of `plan`.
     pub fn predict(&self, plan: &ConsolidationPlan) -> Prediction {
-        let placement = analyze(plan, self.perf.config());
-        let perf = self.perf.predict_placed(plan, &placement);
-        let rates = self
-            .power
-            .predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
-        let dyn_power_w = self.power.predict_dyn_power_w(&rates);
-        let thermal_w = self.power.predict_thermal_w(dyn_power_w);
-        let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
-        let system_energy_j = gpu_energy_j + self.idle_w * perf.time_s;
-        Prediction {
-            time_s: perf.time_s,
-            dyn_power_w,
-            thermal_w,
-            gpu_energy_j,
-            system_energy_j,
-            state: None,
-            perf,
-        }
+        self.predict_at(plan, None)
     }
 
     /// Predict a consolidated launch with the device held at DVFS state
@@ -114,62 +97,7 @@ impl EnergyModel {
     /// the classic `f·V²` dynamic law relative to P0. At the P0 anchor
     /// (`f = V = 1`) this is bit-identical to [`EnergyModel::predict`].
     pub fn predict_in_state(&self, plan: &ConsolidationPlan, state: &PowerState) -> Prediction {
-        if state.freq_scale == 1.0 && state.volt_scale == 1.0 {
-            return Prediction {
-                state: Some(*state),
-                ..self.predict(plan)
-            };
-        }
-        let mut cfg = self.perf.config().clone();
-        cfg.clock_hz *= state.freq_scale;
-        let perf_model = PerfModel::new(cfg.clone());
-        let power_model = self.power.with_config(cfg.clone());
-        let placement = analyze(plan, &cfg);
-        let perf = perf_model.predict_placed(plan, &placement);
-        let rates = power_model.predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
-        let dyn_power_w = power_model.predict_dyn_power_w(&rates) * state.volt_sq();
-        let thermal_w = power_model.predict_thermal_w(dyn_power_w);
-        let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
-        let system_energy_j = gpu_energy_j + self.idle_w * perf.time_s;
-        Prediction {
-            time_s: perf.time_s,
-            dyn_power_w,
-            thermal_w,
-            gpu_energy_j,
-            system_energy_j,
-            state: Some(*state),
-            perf,
-        }
-    }
-
-    /// The serial alternative evaluated at DVFS state `state` (mirrors
-    /// [`EnergyModel::predict_serial`]).
-    pub fn predict_serial_in_state(
-        &self,
-        plan: &ConsolidationPlan,
-        state: &PowerState,
-    ) -> Prediction {
-        let mut time = 0.0;
-        let mut gpu_energy = 0.0;
-        let mut last_perf = None;
-        for m in &plan.members {
-            let single = ConsolidationPlan::new()
-                .with(crate::plan::KernelSpec::new(m.desc.clone(), m.blocks));
-            let p = self.predict_in_state(&single, state);
-            time += p.time_s;
-            gpu_energy += p.gpu_energy_j;
-            last_perf = Some(p.perf);
-        }
-        let system = gpu_energy + self.idle_w * time;
-        Prediction {
-            time_s: time,
-            dyn_power_w: if time > 0.0 { gpu_energy / time } else { 0.0 },
-            thermal_w: 0.0,
-            gpu_energy_j: gpu_energy,
-            system_energy_j: system,
-            state: Some(*state),
-            perf: last_perf.unwrap_or_else(|| self.perf.predict(&ConsolidationPlan::new())),
-        }
+        self.predict_at(plan, Some(state))
     }
 
     /// Predict with a ±`eps` relative uncertainty on every member's
@@ -193,39 +121,101 @@ impl EnergyModel {
         }
     }
 
-    /// Predict the serial (one launch after another) alternative: same
-    /// total work, but each member runs alone — time sums, and each
-    /// launch's power reflects its own low utilisation.
-    pub fn predict_serial(&self, plan: &ConsolidationPlan) -> Prediction {
-        let mut time = 0.0;
-        let mut gpu_energy = 0.0;
-        let mut last_perf = None;
-        for m in &plan.members {
-            let single = ConsolidationPlan::new()
-                .with(crate::plan::KernelSpec::new(m.desc.clone(), m.blocks));
-            let p = self.predict(&single);
-            time += p.time_s;
-            gpu_energy += p.gpu_energy_j;
-            last_perf = Some(p.perf);
+    /// Both GPU alternatives for `plan` at operating point `state`
+    /// (`None` = the flat path): the consolidated launch, and the serial
+    /// one where each member runs alone — time sums, and each launch's
+    /// power reflects its own low utilisation. Each distinct kernel is
+    /// evaluated once; member times and energies are then added in plan
+    /// order, so the sums match a per-member evaluation bit for bit.
+    pub fn predict_alternatives(
+        &self,
+        plan: &ConsolidationPlan,
+        state: Option<&PowerState>,
+    ) -> GpuAlternatives {
+        let (mut singles, index) = plan.map_distinct_alone(|one| self.predict_at(one, state));
+        let evals = 1 + singles.len() as u64;
+        let (mut time, mut gpu_energy) = (0.0, 0.0);
+        for &i in &index {
+            time += singles[i].time_s;
+            gpu_energy += singles[i].gpu_energy_j;
         }
-        let system = gpu_energy + self.idle_w * time;
-        Prediction {
+        let perf = match index.last() {
+            Some(&i) => singles.swap_remove(i).perf,
+            None => self.perf.predict(&ConsolidationPlan::new()),
+        };
+        let serial = Prediction {
             time_s: time,
             dyn_power_w: if time > 0.0 { gpu_energy / time } else { 0.0 },
             thermal_w: 0.0,
             gpu_energy_j: gpu_energy,
-            system_energy_j: system,
-            state: None,
-            perf: last_perf.unwrap_or_else(|| self.perf.predict(&ConsolidationPlan::new())),
+            system_energy_j: gpu_energy + self.idle_w * time,
+            state: state.copied(),
+            perf,
+        };
+        GpuAlternatives {
+            consolidated: self.predict_at(plan, state),
+            serial,
+            evals,
         }
     }
+
+    /// One model evaluation: a consolidated launch of `plan` at `state`
+    /// (`None` = the flat path, whose models the P0 anchor shares).
+    fn predict_at(&self, plan: &ConsolidationPlan, state: Option<&PowerState>) -> Prediction {
+        let scaled = state.filter(|s| !s.is_anchor()).map(|s| {
+            let mut cfg = self.perf.config().clone();
+            cfg.clock_hz *= s.freq_scale;
+            (
+                PerfModel::new(cfg.clone()),
+                self.power.with_config(cfg),
+                s.volt_sq(),
+            )
+        });
+        let (perf_model, power_model) = match &scaled {
+            Some((perf, power, _)) => (perf, power),
+            None => (&self.perf, &self.power),
+        };
+        let placement = analyze(plan, perf_model.config());
+        let perf = perf_model.predict_placed(plan, &placement);
+        let rates = power_model.predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
+        let mut dyn_power_w = power_model.predict_dyn_power_w(&rates);
+        if let Some((_, _, volt_sq)) = &scaled {
+            dyn_power_w *= volt_sq;
+        }
+        let thermal_w = power_model.predict_thermal_w(dyn_power_w);
+        let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
+        let system_energy_j = gpu_energy_j + self.idle_w * perf.time_s;
+        Prediction {
+            time_s: perf.time_s,
+            dyn_power_w,
+            thermal_w,
+            gpu_energy_j,
+            system_energy_j,
+            state: state.copied(),
+            perf,
+        }
+    }
+}
+
+/// Both GPU alternatives for one plan at one operating point.
+#[derive(Debug, Clone)]
+pub struct GpuAlternatives {
+    /// The members merged into one launch.
+    pub consolidated: Prediction,
+    /// The members launched one after another.
+    pub serial: Prediction,
+    /// Model evaluations run: one for the merged launch plus one per
+    /// distinct member.
+    pub evals: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::KernelSpec;
-    use ewc_energy::{GpuPowerGroundTruth, PowerCoefficients, ThermalModel, TrainingBenchmark};
+    use ewc_energy::{
+        GpuPowerGroundTruth, PowerCoefficients, PowerStateModel, ThermalModel, TrainingBenchmark,
+    };
     use ewc_gpu::KernelDesc;
 
     fn cfg() -> GpuConfig {
@@ -262,7 +252,7 @@ mod tests {
         let m = energy_model();
         let plan = ConsolidationPlan::homogeneous(compute("enc", 8.4), 3, 9);
         let cons = m.predict(&plan);
-        let serial = m.predict_serial(&plan);
+        let serial = m.predict_alternatives(&plan, None).serial;
         assert!(cons.time_s < serial.time_s / 5.0);
         assert!(cons.system_energy_j < serial.system_energy_j / 3.0);
         // Power while consolidated is higher (more SMs busy)…
@@ -299,7 +289,7 @@ mod tests {
             .with(KernelSpec::new(enc, 15))
             .with(KernelSpec::new(mc, 45));
         let cons = m.predict(&plan);
-        let serial = m.predict_serial(&plan);
+        let serial = m.predict_alternatives(&plan, None).serial;
         assert!(
             cons.time_s > 0.95 * serial.time_s,
             "scenario 1 consolidation should not beat serial: {} vs {}",
@@ -335,6 +325,81 @@ mod tests {
             assert!(t >= last - 1e-9, "member {i}: {t} < {last}");
             last = t;
         }
+    }
+
+    fn bits(p: &Prediction) -> [u64; 5] {
+        [
+            p.time_s,
+            p.dyn_power_w,
+            p.thermal_w,
+            p.gpu_energy_j,
+            p.system_energy_j,
+        ]
+        .map(f64::to_bits)
+    }
+
+    #[test]
+    fn serial_on_identical_members_matches_the_per_member_sum() {
+        let m = energy_model();
+        let k = KernelSpec::new(compute("enc", 8.4), 3);
+        let one = ConsolidationPlan::new().with(k.clone());
+        let p2 = PowerStateModel::tesla_dvfs().table.states[2];
+        assert_eq!(p2.name, "p2");
+        for n in 1..=9 {
+            let plan = ConsolidationPlan::homogeneous(k.desc.clone(), k.blocks, n);
+            for state in [None, Some(&p2)] {
+                let single = match state {
+                    Some(s) => m.predict_in_state(&one, s),
+                    None => m.predict(&one),
+                };
+                let (mut time, mut gpu_energy) = (0.0, 0.0);
+                for _ in 0..n {
+                    time += single.time_s;
+                    gpu_energy += single.gpu_energy_j;
+                }
+                let alt = m.predict_alternatives(&plan, state);
+                assert_eq!(alt.evals, 2, "n={n}: the merged launch and one member");
+                let serial = &alt.serial;
+                assert_eq!(serial.time_s.to_bits(), time.to_bits(), "n={n}");
+                assert_eq!(serial.gpu_energy_j.to_bits(), gpu_energy.to_bits());
+                let system = gpu_energy + m.idle_w() * time;
+                assert_eq!(serial.system_energy_j.to_bits(), system.to_bits());
+                assert_eq!(serial.dyn_power_w.to_bits(), (gpu_energy / time).to_bits());
+                assert_eq!(serial.perf.per_sm_finish, single.perf.per_sm_finish);
+            }
+            let flat = m.predict_alternatives(&plan, None).serial;
+            let perf_time = m.perf().predict_serial(&plan);
+            assert_eq!(perf_time.to_bits(), flat.time_s.to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn p0_anchor_is_bit_identical_to_the_flat_path() {
+        let m = energy_model();
+        let p0 = PowerStateModel::tesla_dvfs().table.states[4];
+        assert!(p0.is_anchor());
+        let plan = ConsolidationPlan::new()
+            .with(KernelSpec::new(compute("a", 6.0), 4))
+            .with(KernelSpec::new(compute("b", 3.0), 7))
+            .with(KernelSpec::new(compute("a", 6.0), 4));
+        let flat = m.predict_alternatives(&plan, None);
+        let at_p0 = m.predict_alternatives(&plan, Some(&p0));
+        assert_eq!(flat.evals, 3);
+        assert_eq!(at_p0.evals, 3);
+        for (f, s) in [
+            (&flat.consolidated, &at_p0.consolidated),
+            (&flat.serial, &at_p0.serial),
+        ] {
+            assert_eq!(bits(f), bits(s));
+            assert_eq!(f.perf.per_sm_finish, s.perf.per_sm_finish);
+            assert!(f.state.is_none());
+            assert_eq!(s.state.map(|s| s.name), Some("p0"));
+        }
+        assert_eq!(bits(&m.predict(&plan)), bits(&flat.consolidated));
+        assert_eq!(
+            bits(&m.predict_in_state(&plan, &p0)),
+            bits(&flat.consolidated)
+        );
     }
 
     #[test]

@@ -56,9 +56,8 @@
 //!     .comp_insts(1e7)
 //!     .build();
 //! let plan = ConsolidationPlan::homogeneous(kernel, 3, 9);
-//! let consolidated = model.predict(&plan);
-//! let serial = model.predict_serial(&plan);
-//! assert!(consolidated.system_energy_j < serial.system_energy_j / 3.0);
+//! let gpu = model.predict_alternatives(&plan, None);
+//! assert!(gpu.consolidated.system_energy_j < gpu.serial.system_energy_j / 3.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,7 +71,7 @@ pub mod plan;
 pub mod policy;
 pub mod power;
 
-pub use energy::{EnergyModel, Prediction, PredictionRange};
+pub use energy::{EnergyModel, GpuAlternatives, Prediction, PredictionRange};
 pub use perf::{PerfModel, PerfPrediction};
 pub use placement::{analyze, Placement};
 pub use plan::{ConsolidationPlan, KernelSpec};

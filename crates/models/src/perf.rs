@@ -133,16 +133,12 @@ impl PerfModel {
     }
 
     /// Predict the time of running each member serially, one launch after
-    /// another (the "serial" baseline of Section VIII).
+    /// another (the "serial" baseline of Section VIII). Each distinct
+    /// member is predicted once; the sum still runs over every member in
+    /// plan order.
     pub fn predict_serial(&self, plan: &ConsolidationPlan) -> f64 {
-        plan.members
-            .iter()
-            .map(|m| {
-                let single = ConsolidationPlan::new()
-                    .with(crate::plan::KernelSpec::new(m.desc.clone(), m.blocks));
-                self.predict(&single).time_s
-            })
-            .sum()
+        let (times, index) = plan.map_distinct_alone(|single| self.predict(single).time_s);
+        index.iter().map(|&i| times[i]).sum()
     }
 }
 

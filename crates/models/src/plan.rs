@@ -62,6 +62,29 @@ impl ConsolidationPlan {
         p
     }
 
+    /// Evaluate `f` once per distinct member, alone in a one-member plan
+    /// (the serial alternative's launches). Returns the results in
+    /// first-appearance order and each member's index into them. Members
+    /// are the same kernel when their specs compare equal; a NaN count
+    /// never does, so such a member is evaluated on its own.
+    pub(crate) fn map_distinct_alone<T>(
+        &self,
+        mut f: impl FnMut(&Self) -> T,
+    ) -> (Vec<T>, Vec<usize>) {
+        let mut results = Vec::new();
+        let mut index: Vec<usize> = Vec::with_capacity(self.members.len());
+        for (j, m) in self.members.iter().enumerate() {
+            match self.members[..j].iter().position(|d| d == m) {
+                Some(first) => index.push(index[first]),
+                None => {
+                    index.push(results.len());
+                    results.push(f(&Self::new().with(m.clone())));
+                }
+            }
+        }
+        (results, index)
+    }
+
     /// Total blocks across members.
     pub fn total_blocks(&self) -> u32 {
         self.members.iter().map(|m| m.blocks).sum()
@@ -97,6 +120,30 @@ mod tests {
         assert_eq!(plan.total_blocks(), 10);
         let grid = plan.to_grid();
         assert_eq!(ConsolidationPlan::from_grid(&grid), plan);
+    }
+
+    #[test]
+    fn distinct_members_are_mapped_once_in_first_appearance_order() {
+        let plan = ConsolidationPlan::new()
+            .with(KernelSpec::new(desc("a"), 3))
+            .with(KernelSpec::new(desc("b"), 3))
+            .with(KernelSpec::new(desc("a"), 3))
+            .with(KernelSpec::new(desc("a"), 4));
+        let mut seen = Vec::new();
+        let (out, index) = plan.map_distinct_alone(|p| {
+            seen.push(p.clone());
+            p.members[0].blocks
+        });
+        assert_eq!(out, [3, 3, 4]);
+        assert_eq!(index, [0, 1, 0, 2]);
+        assert!(seen.iter().all(|p| p.members.len() == 1));
+        assert_eq!(&*seen[1].members[0].desc.name, "b");
+        let nan = KernelDesc {
+            comp_insts: f64::NAN,
+            ..desc("n")
+        };
+        let nan = ConsolidationPlan::homogeneous(nan, 1, 2);
+        assert_eq!(nan.map_distinct_alone(|_| ()).1, [0, 1]);
     }
 
     #[test]
